@@ -12,7 +12,6 @@ from .bounds import (
     bound,
     explicit_schedule,
     flip_vector_for,
-    realize_regions,
     target_word,
     verify_bound,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "jones",
     "markov_simplify",
     "parse_word",
-    "realize_regions",
     "sharpness_probe",
     "target_word",
     "toric_braid",

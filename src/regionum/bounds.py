@@ -1,20 +1,23 @@
 """Upper bounds for the region unknotting number of torus links, with
 machine-checked certificates.
 
-Every bound comes from a case of the form q = n*p + a.  For constructible
-cases the construction is an explicit list of region ids of the standard
-closed-braid diagram: region crossing changes there turn the torus braid
-into a braid word whose closure is a trivial link.  The region arithmetic
-is expressed through the index sets
+Every bound comes from a case of the form q = n*p + a.  The case registry
+``_CASES`` holds one record per :class:`TheoremCase`: when the case
+applies, its bound formula, its schedule builder (none for a closed
+formula) and the target word its proof prints (if any).  A schedule is an
+explicit list of region ids of the standard closed-braid diagram: region
+crossing changes there turn the torus braid into a braid word whose
+closure is a trivial link.  The region arithmetic is expressed through the
+index sets
 
     X_i = {2i(p-1), 2i(p-1) - 2, ..., 2i(p-1) - 2(i-1)}
 
 shifted by per-row-block offsets.  Certificates are verified end to end:
 the schedule is applied to the diagram, the resulting word is compared
-against the expected target word where one is known in closed form, and
-the closure is certified trivial.  A GF(2) view of the region incidence
+against the printed target word where the proof gives one, and the
+closure is certified trivial.  A GF(2) view of the region incidence
 system provides the numbering-independent ground truth: the flip pattern
-of any valid schedule must be realizable, and among the solution coset a
+of the schedule must be realizable, and among the solution coset a
 solution with exactly the advertised cardinality must exist.
 """
 
@@ -23,10 +26,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+from typing import Callable, NamedTuple
 
 from .braid import BraidWord, toric_braid
 from .diagram import FlipVector, PlanarDiagram, close_braid
-from .gf2 import popcount, row_reduce, select_bits, solution_coset
+from .gf2 import row_reduce, solution_of_weight
 from .invariants import UnlinkCertificate, Verdict, certify_unlink
 from .properness import TorusLinkSpec, is_proper
 from .templates import (
@@ -78,7 +82,6 @@ class TheoremCase(enum.Enum):
 @dataclasses.dataclass(frozen=True)
 class RegionSchedule:
     region_ids: tuple[int, ...]
-    construction: str  # "explicit" | "gf2"
 
     def __len__(self) -> int:
         return len(self.region_ids)
@@ -149,190 +152,44 @@ def _mn_rows(p: int, n_blocks: int) -> list[int]:
     ]
 
 
-def _case_table(spec: TorusLinkSpec) -> list[tuple[TheoremCase, int, "object"]]:
-    """All applicable (case, bound, schedule builder) triples; a builder of
-    None marks a closed-formula case with no construction of its own."""
-    p, q = spec.p, spec.q
-    n, a = divmod(q, p)
-    out: list[tuple[TheoremCase, int, object]] = []
-
-    if p == 2:
-        out.append((TheoremCase.TWO_BRAID, (q + 2) // 4, _sched_two_braid))
-        return out
-
-    p_odd = p % 2 == 1
-    base_odd = _exact_div(n * (p * p - 1), 8) if p_odd else None
-    if n < 1:
-        return out
-    if a == 0:
-        if p_odd:
-            out.append((TheoremCase.NP_P_ODD, base_odd, _sched_mu_only))
-        elif n % 2 == 0:
-            out.append((TheoremCase.NP_P_N_EVEN, _exact_div(n * p * p, 8), _sched_mn_only))
-    elif a == 1:
-        if p_odd:
-            out.append((TheoremCase.NP1_P_ODD, base_odd, _sched_mu_only))
-        elif n % 2 == 1:
-            out.append(
-                (TheoremCase.NP1_P_EVEN_N_ODD, _exact_div(n * p * p + 2 * p, 8), _sched_np1_even_odd)
-            )
-        else:
-            out.append((TheoremCase.NP1_P_N_EVEN, _exact_div(n * p * p, 8), _sched_mn_only))
-    elif a == 2:
-        if p_odd:
-            out.append(
-                (TheoremCase.NP2_P_ODD, base_odd + (p + 1) // 4, _sched_np2_odd)
-            )
-        elif n % 2 == 0 and p % 4 == 0:
-            out.append(
-                (TheoremCase.NP2_P_N_EVEN, _exact_div(n * p * p + 2 * p, 8), _sched_np2_even)
-            )
-    if a >= 2 and a % 2 == 0 and not p_odd and n % 2 == 1 and p % a == 0:
-        out.append(
-            (TheoremCase.NPA_EVEN_DIV, _exact_div(n * p * p + a * p, 8), _sched_even_ladder)
-        )
-    if a >= 3 and a % 2 == 1 and n >= 1:
-        tail_div = ((p + 1) // a) * _exact_div(a * a - 1, 8)
-        m4 = (a + 2) // 4
-        tail_2mod = (
-            ((p - 2) // a) * _exact_div(a * a - 1, 8) + m4 if p % a == 2 else None
-        )
-        tail_m2mod = (
-            ((p + 2) // a - 1) * _exact_div(a * a - 1, 8)
-            + _exact_div((a - 2) ** 2 - 1, 8)
-            + a // 4
-            if (p + 2) % a == 0
-            else None
-        )
-        if p % a in (0, 1, a - 1):
-            if p_odd:
-                out.append((TheoremCase.NPA_P_ODD_DIV, base_odd + tail_div, _sched_odd_ladder_div))
-            elif n % 2 == 0:
-                out.append(
-                    (TheoremCase.NPA_P_N_EVEN_DIV, _exact_div(n * p * p, 8) + tail_div, _sched_odd_ladder_div)
-                )
-        elif p % a == 2 and a >= 3:
-            if p_odd:
-                out.append((TheoremCase.NPA_P_ODD_2MODA, base_odd + tail_2mod, _sched_odd_ladder_2mod))
-            elif n % 2 == 0:
-                out.append(
-                    (TheoremCase.NPA_P_N_EVEN_2MODA, _exact_div(n * p * p, 8) + tail_2mod, _sched_odd_ladder_2mod)
-                )
-        elif p % a == a - 2 and a >= 5:
-            if p_odd:
-                out.append((TheoremCase.NPA_P_ODD_M2MODA, base_odd + tail_m2mod, _sched_odd_ladder_m2mod))
-            elif n % 2 == 0:
-                out.append(
-                    (TheoremCase.NPA_P_N_EVEN_M2MODA, _exact_div(n * p * p, 8) + tail_m2mod, _sched_odd_ladder_m2mod)
-                )
-    if a == p - 1:
-        n1 = n + 1  # q = n1 * p - 1
-        if n1 >= 2:
-            if p_odd:
-                out.append(
-                    (TheoremCase.NPM1_P_ODD, _exact_div(n1 * (p * p - 1), 8), _sched_npm1_odd)
-                )
-            elif n1 % 2 == 0:
-                out.append(
-                    (TheoremCase.NPM1_P_N_EVEN, _exact_div(n1 * p * p, 8), _sched_npm1_even)
-                )
-    if a == p - 2 and p > 2:
-        n1 = n + 1  # q = n1 * p - 2
-        if n1 >= 2 and not p_odd:
-            if n1 % 2 == 1:
-                out.append(
-                    (TheoremCase.NPM2_P_EVEN_N_ODD, _exact_div(n1 * p * p - 2 * p, 8), _sched_npm2_n_odd)
-                )
-            elif p % 4 == 0:
-                out.append(
-                    (TheoremCase.NPM2_P_N_EVEN, _exact_div(n1 * p * p - 2 * p, 8), _sched_npm2_n_even)
-                )
-    if a == 3 and not p_odd and n % 2 == 1:
-        out.append(
-            (
-                TheoremCase.NP3_P_EVEN_N_ODD,
-                _exact_div(n * p * p + 2 * p, 8) + (p + 2) // 6,
-                _sched_np3_even_odd,
-            )
-        )
-    if a == 4:
-        value = _np4_formula(p, n)
-        if value is not None:
-            out.append((TheoremCase.NP4_FORMULA, value, None))
-    if a == 5:
-        value = _np5_formula(p, n)
-        if value is not None:
-            out.append((TheoremCase.NP5_FORMULA, value, None))
-    return out
-
-
-def _np4_formula(p: int, n: int) -> int | None:
-    if p % 2 == 1:
-        base = _exact_div(n * (p * p - 1), 8)
-        if p % 8 in (1, 3):
-            return base + p // 2
-        return base + (p + 1) // 2
-    if p % 4 != 0:
-        return None  # not proper
-    if n % 2 == 0 and p % 8 == 4:
-        return None
-    return _exact_div(n * p * p, 8) + p // 2
-
-
-def _np5_formula(p: int, n: int) -> int | None:
-    if p % 2 == 0 and n % 2 == 1:
-        return None  # no closed formula stated for this parity
-    base = _exact_div(n * (p * p - 1), 8) if p % 2 else _exact_div(n * p * p, 8)
-    r = p % 5
-    if r in (0, 1, 4):
-        return base + 3 * ((p + 1) // 5)
-    if r == 2:
-        return base + _exact_div(3 * p - 1, 5)
-    return base + _exact_div(3 * p + 1, 5)
-
-
 # --- schedule builders -------------------------------------------------
-# Each takes (spec, n, a) with q = n*p + a and returns the 1-based region
+# Each takes (p, n, a) with q = n*p + a and returns the 1-based region
 # ids of the standard diagram in selection order.
 
 
-def _sched_two_braid(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
+def _sched_two_braid(p: int, n: int, a: int) -> list[int]:
     # disjoint bigons; adjacent bigon ids share a crossing, so take every
     # other id
-    m = (spec.q + 2) // 4
+    m = (n * p + a + 2) // 4
     return [2 * k + 1 for k in range(m)]
 
 
-def _sched_mu_only(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    return _mu_rows(spec.p, n)
+def _sched_mu_only(p: int, n: int, a: int) -> list[int]:
+    return _mu_rows(p, n)
 
 
-def _sched_mn_only(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    return _mn_rows(spec.p, n // 2)
+def _sched_mn_only(p: int, n: int, a: int) -> list[int]:
+    return _mn_rows(p, n // 2)
 
 
-def _sched_np1_even_odd(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_np1_even_odd(p: int, n: int, a: int) -> list[int]:
     head = _mn_rows(p, (n - 1) // 2)
     off = (n - 1) * p * (p - 1)
     return head + [off + x for x in _X_union(p // 2, p)]
 
 
-def _sched_np2_odd(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_np2_odd(p: int, n: int, a: int) -> list[int]:
     m = (p + 1) // 4  # p = 4m +- 1
     off = (n * p + 1) * (p - 1)
     return _mu_rows(p, n) + [off - 4 * j for j in range(m)]
 
 
-def _sched_np2_even(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_np2_even(p: int, n: int, a: int) -> list[int]:
     off = (n * p + 1) * (p - 1)
     return _mn_rows(p, n // 2) + [off - 4 * j for j in range(p // 4)]
 
 
-def _sched_even_ladder(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_even_ladder(p: int, n: int, a: int) -> list[int]:
     head = _mn_rows(p, (n - 1) // 2)
     off = (n - 1) * p * (p - 1)
     tail = list(_X_union(p // 2, p))
@@ -342,23 +199,21 @@ def _sched_even_ladder(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
     return head + [off + x for x in tail]
 
 
-def _odd_head(spec: TorusLinkSpec, n: int) -> list[int]:
-    return _mu_rows(spec.p, n) if spec.p % 2 else _mn_rows(spec.p, n // 2)
+def _odd_head(p: int, n: int) -> list[int]:
+    return _mu_rows(p, n) if p % 2 else _mn_rows(p, n // 2)
 
 
-def _sched_odd_ladder_div(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_odd_ladder_div(p: int, n: int, a: int) -> list[int]:
     off = n * p * (p - 1)
     tail = [
         off - j * a + x
         for j in range((p + 1) // a)
         for x in _X_union((a - 1) // 2, p)
     ]
-    return _odd_head(spec, n) + tail
+    return _odd_head(p, n) + tail
 
 
-def _sched_odd_ladder_2mod(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_odd_ladder_2mod(p: int, n: int, a: int) -> list[int]:
     m = (a + 2) // 4  # a = 4m -+ 1
     off = n * p * (p - 1)
     tail = [
@@ -368,11 +223,10 @@ def _sched_odd_ladder_2mod(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
     ]
     single_base = (n * p + 1) * (p - 1) + 1
     singles = [single_base + 4 * k * (p - 1) for k in range(m)]
-    return _odd_head(spec, n) + tail + singles
+    return _odd_head(p, n) + tail + singles
 
 
-def _sched_odd_ladder_m2mod(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_odd_ladder_m2mod(p: int, n: int, a: int) -> list[int]:
     off = n * p * (p - 1)
     batches = (p + 2) // a - 1
     tail = [
@@ -381,31 +235,28 @@ def _sched_odd_ladder_m2mod(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
     tail += [off - batches * a + x for x in _X_union((a - 3) // 2, p)]
     single_base = (n * p + a - 2) * (p - 1) + (a - 3)
     singles = [single_base - 4 * k for k in range(a // 4)]
-    return _odd_head(spec, n) + tail + singles
+    return _odd_head(p, n) + tail + singles
 
 
-def _sched_npm1_odd(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_npm1_odd(p: int, n: int, a: int) -> list[int]:
     n1 = n + 1
     head = _mu_rows(p, n1 - 1)
     off = ((n1 - 1) * p - 1) * (p - 1)
     return head + [off + x for x in _X_union((p - 1) // 2, p)]
 
 
-def _sched_npm1_even(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    return _mn_rows(spec.p, (n + 1) // 2)
+def _sched_npm1_even(p: int, n: int, a: int) -> list[int]:
+    return _mn_rows(p, (n + 1) // 2)
 
 
-def _sched_npm2_n_odd(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_npm2_n_odd(p: int, n: int, a: int) -> list[int]:
     n1 = n + 1
     head = _mn_rows(p, (n1 - 1) // 2)
     off = ((n1 - 1) * p - 1) * (p - 1)
     return head + [off + x for x in _X_union((p - 2) // 2, p)]
 
 
-def _sched_npm2_n_even(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_npm2_n_even(p: int, n: int, a: int) -> list[int]:
     n1 = n + 1
     head = _mn_rows(p, (n1 - 2) // 2)
     off = (n1 - 2) * p * (p - 1)
@@ -416,8 +267,7 @@ def _sched_npm2_n_even(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
     return head + [off + x for x in tail]
 
 
-def _sched_np3_even_odd(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
-    p = spec.p
+def _sched_np3_even_odd(p: int, n: int, a: int) -> list[int]:
     m = (p + 2) // 6
     head = _mn_rows(p, (n - 1) // 2)
     off = (n - 1) * p * (p - 1)
@@ -427,37 +277,46 @@ def _sched_np3_even_odd(spec: TorusLinkSpec, n: int, a: int) -> list[int]:
     return head + mid + singles
 
 
-# --- expected target words for cases whose proofs print them ----------
+# --- bound formulas and printed target words ----------------------------
+# The ``_*_bound`` formulas take (p, n, a) like the schedule builders.
 
 
-def _expected_target(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord | None:
-    p, q = spec.p, spec.q
-    n, a = divmod(q, p)
-    if case is TheoremCase.NP_P_ODD:
-        return _power(staircase_word(p), n)
-    if case is TheoremCase.NP1_P_ODD:
-        return _power(staircase_word(p), n) * mu(p, 1)
-    if case is TheoremCase.NP1_P_EVEN_N_ODD:
-        w = _power(_mn(p), (n - 1) // 2)
-        return w * staircase_segment(p, 1, p) * mu(p, p)
-    if case is TheoremCase.NP_P_N_EVEN:
-        return _power(_mn(p), n // 2)
-    if case is TheoremCase.NP1_P_N_EVEN:
-        return _power(_mn(p), n // 2) * mu(p, 1)
-    if case is TheoremCase.NPM1_P_ODD:
-        n1 = n + 1
-        return _power(staircase_word(p), n1 - 1) * staircase_segment(p, 2, p)
-    if case is TheoremCase.NPM1_P_N_EVEN:
-        n1 = n + 1
-        w = _power(_mn(p), (n1 - 2) // 2) * staircase_word(p)
-        return w * mirror_staircase_segment(p, 1, p - 1)
-    if case is TheoremCase.NPM2_P_EVEN_N_ODD:
-        n1 = n + 1
-        return _power(_mn(p), (n1 - 1) // 2) * staircase_segment(p, 2, p - 1)
-    if case is TheoremCase.NP3_P_EVEN_N_ODD:
-        w = _power(_mn(p), (n - 1) // 2) * staircase_word(p)
-        return w * three_block_word(p)
-    return None
+def _base(p: int, n: int) -> int:
+    """The share of n staircase row blocks: n(p^2-1)/8 for odd p, np^2/8
+    for even p."""
+    return _exact_div(n * (p * p - p % 2), 8)
+
+
+def _ladder(a: int, batches: int) -> int:
+    """The share of ``batches`` ladder batches of odd width a."""
+    return batches * _exact_div(a * a - 1, 8)
+
+
+def _staircase_bound(p: int, n: int, a: int) -> int:
+    return _base(p, n)
+
+
+def _div_bound(p: int, n: int, a: int) -> int:
+    return _base(p, n) + _ladder(a, (p + 1) // a)
+
+
+def _2mod_bound(p: int, n: int, a: int) -> int:
+    return _base(p, n) + _ladder(a, (p - 2) // a) + (a + 2) // 4
+
+
+def _m2mod_bound(p: int, n: int, a: int) -> int:
+    return _base(p, n) + _ladder(a, (p + 2) // a - 1) + _ladder(a - 2, 1) + a // 4
+
+
+def _np4_bound(p: int, n: int, a: int) -> int:
+    return _base(p, n) + ((p + 1) // 2 if p % 8 in (5, 7) else p // 2)
+
+
+def _np5_bound(p: int, n: int, a: int) -> int:
+    r = p % 5
+    if r in (0, 1, 4):
+        return _base(p, n) + 3 * ((p + 1) // 5)
+    return _base(p, n) + _exact_div(3 * p + (1 if r == 3 else -1), 5)
 
 
 def _mn(p: int) -> BraidWord:
@@ -466,6 +325,121 @@ def _mn(p: int) -> BraidWord:
 
 def _power(w: BraidWord, k: int) -> BraidWord:
     return BraidWord(w.strands, w.letters * k)
+
+
+# --- the case registry ---------------------------------------------------
+
+
+class _Case(NamedTuple):
+    """One theorem case: whether it applies, its bound, its schedule
+    builder (None for a closed formula) and the target word its proof
+    prints (None if the proof prints none).  Each takes (p, n, a) with
+    q = n*p + a."""
+
+    applies: Callable[[int, int, int], bool]
+    bound: Callable[[int, int, int], int]
+    schedule: Callable[[int, int, int], list[int]] | None
+    target: Callable[[int, int, int], BraidWord] | None
+
+
+# In enum order: bound() sorts stably, so among equal bounds the earlier
+# case is listed first and is the one verify_bound certifies.
+_CASES = {
+    TheoremCase.TWO_BRAID: _Case(
+        lambda p, n, a: p == 2, lambda p, n, a: (n * p + a + 2) // 4,
+        _sched_two_braid, None),
+    TheoremCase.NP_P_ODD: _Case(
+        lambda p, n, a: a == 0 and p % 2, _staircase_bound, _sched_mu_only,
+        lambda p, n, a: _power(staircase_word(p), n)),
+    TheoremCase.NP1_P_ODD: _Case(
+        lambda p, n, a: a == 1 and p % 2, _staircase_bound, _sched_mu_only,
+        lambda p, n, a: _power(staircase_word(p), n) * mu(p, 1)),
+    TheoremCase.NP1_P_EVEN_N_ODD: _Case(
+        lambda p, n, a: a == 1 and p % 2 == 0 and n % 2,
+        lambda p, n, a: _exact_div(n * p * p + 2 * p, 8), _sched_np1_even_odd,
+        lambda p, n, a: (
+            _power(_mn(p), (n - 1) // 2) * staircase_segment(p, 1, p) * mu(p, p))),
+    TheoremCase.NP_P_N_EVEN: _Case(
+        lambda p, n, a: a == 0 and p % 2 == n % 2 == 0, _staircase_bound,
+        _sched_mn_only, lambda p, n, a: _power(_mn(p), n // 2)),
+    TheoremCase.NP1_P_N_EVEN: _Case(
+        lambda p, n, a: a == 1 and p % 2 == n % 2 == 0, _staircase_bound,
+        _sched_mn_only, lambda p, n, a: _power(_mn(p), n // 2) * mu(p, 1)),
+    TheoremCase.NP2_P_ODD: _Case(
+        lambda p, n, a: a == 2 and p % 2,
+        lambda p, n, a: _base(p, n) + (p + 1) // 4, _sched_np2_odd, None),
+    TheoremCase.NP2_P_N_EVEN: _Case(
+        lambda p, n, a: a == 2 and p % 4 == n % 2 == 0,
+        lambda p, n, a: _exact_div(n * p * p + 2 * p, 8), _sched_np2_even, None),
+    TheoremCase.NPA_EVEN_DIV: _Case(
+        lambda p, n, a: a >= 2 and a % 2 == 0 and p % a == 0 and n % 2,
+        lambda p, n, a: _exact_div(n * p * p + a * p, 8), _sched_even_ladder, None),
+    TheoremCase.NPA_P_ODD_DIV: _Case(
+        lambda p, n, a: a >= 3 and a % 2 and p % a in (0, 1, a - 1) and p % 2,
+        _div_bound, _sched_odd_ladder_div, None),
+    TheoremCase.NPA_P_N_EVEN_DIV: _Case(
+        lambda p, n, a: (
+            a >= 3 and a % 2 and p % a in (0, 1, a - 1) and p % 2 == n % 2 == 0),
+        _div_bound, _sched_odd_ladder_div, None),
+    # for a = 3, p = 2 mod a is p = -1 mod a, a DIV case
+    TheoremCase.NPA_P_ODD_2MODA: _Case(
+        lambda p, n, a: a >= 5 and a % 2 and p % a == 2 and p % 2,
+        _2mod_bound, _sched_odd_ladder_2mod, None),
+    TheoremCase.NPA_P_N_EVEN_2MODA: _Case(
+        lambda p, n, a: a >= 5 and a % 2 and p % a == 2 and p % 2 == n % 2 == 0,
+        _2mod_bound, _sched_odd_ladder_2mod, None),
+    TheoremCase.NPA_P_ODD_M2MODA: _Case(
+        lambda p, n, a: a >= 5 and a % 2 and p % a == a - 2 and p % 2,
+        _m2mod_bound, _sched_odd_ladder_m2mod, None),
+    TheoremCase.NPA_P_N_EVEN_M2MODA: _Case(
+        lambda p, n, a: a >= 5 and a % 2 and p % a == a - 2 and p % 2 == n % 2 == 0,
+        _m2mod_bound, _sched_odd_ladder_m2mod, None),
+    # q = n1*p - 1 and q = n1*p - 2 with n1 = n + 1
+    TheoremCase.NPM1_P_ODD: _Case(
+        lambda p, n, a: a == p - 1 and p % 2, lambda p, n, a: _base(p, n + 1),
+        _sched_npm1_odd,
+        lambda p, n, a: _power(staircase_word(p), n) * staircase_segment(p, 2, p)),
+    TheoremCase.NPM1_P_N_EVEN: _Case(
+        lambda p, n, a: a == p - 1 and p % 2 == 0 and n % 2,
+        lambda p, n, a: _base(p, n + 1), _sched_npm1_even,
+        lambda p, n, a: _power(_mn(p), (n - 1) // 2) * staircase_word(p)
+        * mirror_staircase_segment(p, 1, p - 1)),
+    TheoremCase.NPM2_P_EVEN_N_ODD: _Case(
+        lambda p, n, a: a == p - 2 and p % 2 == n % 2 == 0,
+        lambda p, n, a: _exact_div((n + 1) * p * p - 2 * p, 8), _sched_npm2_n_odd,
+        lambda p, n, a: _power(_mn(p), n // 2) * staircase_segment(p, 2, p - 1)),
+    TheoremCase.NPM2_P_N_EVEN: _Case(
+        lambda p, n, a: a == p - 2 and p % 4 == 0 and n % 2,
+        lambda p, n, a: _exact_div((n + 1) * p * p - 2 * p, 8), _sched_npm2_n_even,
+        None),
+    TheoremCase.NP3_P_EVEN_N_ODD: _Case(
+        lambda p, n, a: a == 3 and p % 2 == 0 and n % 2,
+        lambda p, n, a: _exact_div(n * p * p + 2 * p, 8) + (p + 2) // 6,
+        _sched_np3_even_odd,
+        lambda p, n, a: _power(_mn(p), (n - 1) // 2) * staircase_word(p)
+        * three_block_word(p)),
+    TheoremCase.NP4_FORMULA: _Case(
+        lambda p, n, a: a == 4 and (p % 2 or p % 4 == 0 and (n % 2 or p % 8 == 0)),
+        _np4_bound, None, None),
+    TheoremCase.NP5_FORMULA: _Case(
+        lambda p, n, a: a == 5 and (p % 2 or n % 2 == 0), _np5_bound, None, None),
+}
+
+
+def _applies(case: TheoremCase, p: int, n: int, a: int) -> bool:
+    """Whether the case covers K(p, n*p + a).  The 2-braid value is exact,
+    so it is the only case for p = 2; every other case needs q >= p."""
+    if p == 2:
+        return case is TheoremCase.TWO_BRAID
+    return n >= 1 and bool(_CASES[case].applies(p, n, a))
+
+
+def _record(spec: TorusLinkSpec, case: TheoremCase) -> tuple[_Case, int, int]:
+    """The registry record of a case that applies to ``spec``, with (n, a)."""
+    n, a = divmod(spec.q, spec.p)
+    if not _applies(case, spec.p, n, a):
+        raise CaseNotCovered(f"{case} does not apply to K({spec.p},{spec.q})")
+    return _CASES[case], n, a
 
 
 # --- public api --------------------------------------------------------
@@ -479,9 +453,12 @@ def bound(spec: TorusLinkSpec) -> list[BoundResult]:
             f"K({spec.p},{spec.q}) is not proper: its components have odd "
             "total linking number"
         )
+    p = spec.p
+    n, a = divmod(spec.q, p)
     results = [
-        BoundResult(spec, case, value, builder is not None)
-        for case, value, builder in _case_table(spec)
+        BoundResult(spec, case, rec.bound(p, n, a), rec.schedule is not None)
+        for case, rec in _CASES.items()
+        if _applies(case, p, n, a)
     ]
     results.sort(key=lambda r: (r.bound, not r.constructible))
     trivial = ((spec.p - 1) * spec.q + 2) // 2
@@ -495,42 +472,28 @@ def bound(spec: TorusLinkSpec) -> list[BoundResult]:
 
 def explicit_schedule(spec: TorusLinkSpec, case: TheoremCase) -> RegionSchedule:
     """The construction's literal region ids for a constructible case."""
-    n, a = divmod(spec.q, spec.p)
-    for c, value, builder in _case_table(spec):
-        if c is case:
-            if builder is None:
-                raise CaseNotCovered(f"{case} is a closed formula without a schedule")
-            ids = builder(spec, n, a)
-            if len(set(ids)) != len(ids):
-                raise AssertionError(f"{case}: schedule repeats a region id")
-            if len(ids) != value:
-                raise AssertionError(
-                    f"{case}: schedule size {len(ids)} != bound {value}"
-                )
-            crossings = (spec.p - 1) * spec.q
-            if any(not 1 <= r <= crossings for r in ids):
-                raise AssertionError(f"{case}: region id out of range")
-            return RegionSchedule(tuple(sorted(ids)), "explicit")
-    raise CaseNotCovered(f"{case} does not apply to K({spec.p},{spec.q})")
+    rec, n, a = _record(spec, case)
+    if rec.schedule is None:
+        raise CaseNotCovered(f"{case} is a closed formula without a schedule")
+    ids = rec.schedule(spec.p, n, a)
+    if len(set(ids)) != len(ids):
+        raise AssertionError(f"{case}: schedule repeats a region id")
+    value = rec.bound(spec.p, n, a)
+    if len(ids) != value:
+        raise AssertionError(f"{case}: schedule size {len(ids)} != bound {value}")
+    crossings = (spec.p - 1) * spec.q
+    if any(not 1 <= r <= crossings for r in ids):
+        raise AssertionError(f"{case}: region id out of range")
+    return RegionSchedule(tuple(sorted(ids)))
 
 
-def target_word(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord:
-    """The braid word produced by the case's region crossing changes:
-    the printed proof word when the proof displays one, otherwise the word
-    obtained by applying the explicit schedule to the standard diagram."""
-    expected = _expected_target(spec, case)
-    if expected is not None:
-        return expected
-    schedule = explicit_schedule(spec, case)
-    diagram = close_braid(toric_braid(spec.p, spec.q))
-    return diagram.region_crossing_changes(schedule.region_ids).word()
+def _printed_target(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord | None:
+    rec, n, a = _record(spec, case)
+    return rec.target(spec.p, n, a) if rec.target else None
 
 
-def flip_vector_for(spec: TorusLinkSpec, case: TheoremCase) -> FlipVector:
-    """Bit c set iff crossing c differs in sign between the torus braid
-    and the case's target word."""
-    toric = toric_braid(spec.p, spec.q)
-    target = target_word(spec, case)
+def _flip_vector(toric: BraidWord, target: BraidWord) -> FlipVector:
+    """Bit c set iff crossing c differs in sign between the two words."""
     if tuple(abs(x) for x in toric.letters) != tuple(abs(x) for x in target.letters):
         raise AssertionError("target word changes generator positions")
     bits = 0
@@ -540,42 +503,33 @@ def flip_vector_for(spec: TorusLinkSpec, case: TheoremCase) -> FlipVector:
     return FlipVector(len(toric.letters), bits)
 
 
-UNREALIZABLE = object()
+def target_word(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord:
+    """The braid word produced by the case's region crossing changes:
+    the printed proof word when the proof displays one, otherwise the word
+    obtained by applying the explicit schedule to the standard diagram."""
+    printed = _printed_target(spec, case)
+    if printed is not None:
+        return printed
+    diagram = close_braid(toric_braid(spec.p, spec.q))
+    return diagram.region_crossing_changes(explicit_schedule(spec, case).region_ids).word()
 
 
-def realize_regions(diagram: PlanarDiagram, v: FlipVector, max_size: int | None = None):
-    """Minimum-cardinality region set whose crossing changes realize the
-    flip pattern ``v``, or UNREALIZABLE.  Exact: enumerates the solution
-    coset (size 2^nullity)."""
-    rows = diagram.incidence_matrix()
-    best = None
-    for sol in solution_coset(rows, len(rows), v.bits):
-        if best is None or popcount(sol) < popcount(best):
-            best = sol
-    if best is None:
-        return UNREALIZABLE
-    ids = [k + 1 for k in select_bits(best)]
-    if max_size is not None and len(ids) > max_size:
-        return UNREALIZABLE
-    return RegionSchedule(tuple(ids), "gf2")
-
-
-def _coset_solution_of_weight(diagram: PlanarDiagram, v: FlipVector, weight: int):
-    rows = diagram.incidence_matrix()
-    for sol in solution_coset(rows, len(rows), v.bits):
-        if popcount(sol) == weight:
-            return RegionSchedule(tuple(k + 1 for k in select_bits(sol)), "gf2")
-    return None
+def flip_vector_for(spec: TorusLinkSpec, case: TheoremCase) -> FlipVector:
+    """Bit c set iff crossing c differs in sign between the torus braid
+    and the case's target word."""
+    return _flip_vector(toric_braid(spec.p, spec.q), target_word(spec, case))
 
 
 def verify_bound(spec: TorusLinkSpec, budget: int | None = None) -> BoundResult:
     """End-to-end certificate for the best constructible bound.
 
     Pipeline: pick the smallest applicable bound that has a construction
-    of the same value, build its schedule and target word, check the
-    schedule realizes exactly the target's sign pattern, and certify the
-    target's closure trivial.  A Refuted verdict raises: it would mean
-    the construction is wrong, which must never pass silently.
+    of the same value, build its schedule and apply it to the standard
+    diagram, check the word it produces against the printed target, check
+    that a region set of the schedule's size realizes the same sign
+    pattern over GF(2), and certify the target's closure trivial.  Each
+    object is built once.  A Refuted verdict raises: it would mean the
+    construction is wrong, which must never pass silently.
     """
     results = bound(spec)
     if not results:
@@ -589,17 +543,17 @@ def verify_bound(spec: TorusLinkSpec, budget: int | None = None) -> BoundResult:
             f"smallest bound {best_value} for K({spec.p},{spec.q}) has no "
             "constructible case of equal value"
         )
+    toric = toric_braid(spec.p, spec.q)
+    diagram = close_braid(toric)
     schedule = explicit_schedule(spec, chosen.case)
-    target = target_word(spec, chosen.case)
-    diagram = close_braid(toric_braid(spec.p, spec.q))
-    changed = diagram.region_crossing_changes(schedule.region_ids).word()
-    if changed != target:
+    target = diagram.region_crossing_changes(schedule.region_ids).word()
+    printed = _printed_target(spec, chosen.case)
+    if printed is not None and printed != target:
         raise AssertionError(
             f"{chosen.case}: schedule does not produce the expected target word"
         )
-    v = flip_vector_for(spec, chosen.case)
-    gf2_schedule = _coset_solution_of_weight(diagram, v, len(schedule))
-    if gf2_schedule is None:
+    v = _flip_vector(toric, target)
+    if solution_of_weight(diagram.incidence_matrix(), v.bits, len(schedule)) is None:
         raise AssertionError(
             f"{chosen.case}: no region set of size {len(schedule)} realizes "
             "the flip pattern"

@@ -19,9 +19,12 @@ def _env_budget() -> int:
     raw = os.environ.get("REGIONUM_BUDGET")
     if raw is None:
         return DEFAULT_HANDLE_BUDGET
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value <= 0:
-        raise ValueError("REGIONUM_BUDGET must be positive")
+        raise ValueError(f"REGIONUM_BUDGET must be a positive integer, got {raw!r}")
     return value
 
 
@@ -90,7 +93,10 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
 
     If ``strands`` is omitted it is inferred as ``max|letter| + 1``.
     """
-    letters = tuple(int(tok) for tok in text.split())
+    try:
+        letters = tuple(int(tok) for tok in text.split())
+    except ValueError:
+        raise ValueError(f"a braid word is signed integers, got {text!r}") from None
     if strands is None:
         strands = max((abs(x) for x in letters), default=1) + 1
     return BraidWord(strands, letters)
@@ -110,16 +116,10 @@ def toric_braid(p: int, q: int) -> BraidWord:
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
-    stack: list[int] = []
-    for x in w.letters:
-        if stack and stack[-1] == -x:
-            stack.pop()
-        else:
-            stack.append(x)
-    return BraidWord(w.strands, tuple(stack))
+    return BraidWord(w.strands, tuple(_free_reduce_list(w.letters)))
 
 
-def _free_reduce_list(letters: list[int]) -> list[int]:
+def _free_reduce_list(letters: Iterable[int]) -> list[int]:
     stack: list[int] = []
     for x in letters:
         if stack and stack[-1] == -x:
@@ -159,7 +159,7 @@ def handle_reduce(w: BraidWord, budget: int | None = None) -> BraidWord:
     """
     if budget is None:
         budget = _env_budget()
-    letters = _free_reduce_list(list(w.letters))
+    letters = _free_reduce_list(w.letters)
     steps = 0
     while True:
         found = _find_handle(letters)
@@ -204,14 +204,6 @@ def closure_components(w: BraidWord) -> int:
             seen[j] = True
             j = perm[j]
     return cycles
-
-
-@dataclasses.dataclass(frozen=True)
-class MarkovMove:
-    """One Markov move applied during closure-preserving simplification."""
-
-    kind: str  # "conjugate" | "shift" | "destabilize_top" | "destabilize_bottom" | "stabilize"
-    detail: int = 0
 
 
 def cyclic_shift(w: BraidWord, k: int = 1) -> BraidWord:

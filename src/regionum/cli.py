@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success/verified, 1 domain refusal (not proper, case not
-covered), 2 internal inconsistency.  All numeric output is exact.
+Exit codes: 0 success/verified, 1 domain refusal (bad input, not proper,
+case not covered; one line on stderr), 2 internal inconsistency.  All
+numeric output is exact.
 """
 
 from __future__ import annotations
@@ -28,15 +29,7 @@ from .properness import (
     is_proper_power_form,
 )
 from .search import brute_force_uR, sharpness_probe
-from .templates import (
-    eight_block_word,
-    generator_run_word,
-    mirror_staircase_word,
-    mu,
-    nu,
-    staircase_word,
-    three_block_word,
-)
+from .templates import WORD_FAMILIES
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -69,14 +62,9 @@ def cmd_proper(args) -> int:
 
 def cmd_bound(args) -> int:
     spec = _spec(args)
-    try:
-        results = bound(spec)
-    except NotProperError as exc:
-        print(f"not proper: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    results = bound(spec)
     if not results:
-        print("no theorem case applies", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CaseNotCovered(f"no theorem case applies to K({spec.p},{spec.q})")
     for r in results:
         suffix = "" if r.constructible else " (formula only)"
         print(f"{r.bound}  [{r.case.value}]{suffix}")
@@ -87,13 +75,10 @@ def cmd_bound(args) -> int:
 
 def cmd_schedule(args) -> int:
     spec = _spec(args)
-    try:
-        results = bound(spec)
-        best = next(r for r in results if r.constructible)
-        schedule = explicit_schedule(spec, best.case)
-    except (NotProperError, CaseNotCovered, StopIteration) as exc:
-        print(f"no schedule: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    best = next((r for r in bound(spec) if r.constructible), None)
+    if best is None:
+        raise CaseNotCovered(f"no constructible case covers K({spec.p},{spec.q})")
+    schedule = explicit_schedule(spec, best.case)
     print(f"case: {best.case.value}")
     print(f"regions ({len(schedule)}): {' '.join(map(str, schedule.region_ids))}")
     print(f"target: {format_word(target_word(spec, best.case))}")
@@ -102,11 +87,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _spec(args)
-    try:
-        result = verify_bound(spec)
-    except (NotProperError, CaseNotCovered) as exc:
-        print(f"not verifiable: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    result = verify_bound(spec)
     cert = result.certificate
     print(cert.to_json(spec, result.case, result.bound))
     return EXIT_OK if cert.unlink.verdict is not Verdict.REFUTED else EXIT_INTERNAL
@@ -115,11 +96,7 @@ def cmd_verify(args) -> int:
 def cmd_brute(args) -> int:
     spec = _spec(args)
     diagram = close_braid(toric_braid(spec.p, spec.q))
-    try:
-        report = brute_force_uR(diagram, args.max_k)
-    except NotProperError as exc:
-        print(f"not proper: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    report = brute_force_uR(diagram, args.max_k)
     print(
         json.dumps(
             {
@@ -164,51 +141,32 @@ def cmd_jones(args) -> int:
 
 
 def cmd_word(args) -> int:
-    fam = args.family
-    try:
-        if fam == "mu":
-            w = mu(args.p, args.i)
-        elif fam == "nu":
-            w = nu(args.p, args.i)
-        elif fam == "staircase":
-            w = staircase_word(args.p)
-        elif fam == "mirror_staircase":
-            w = mirror_staircase_word(args.p)
-        elif fam == "three_block":
-            w = three_block_word(args.p)
-        elif fam == "generator_run":
-            w = generator_run_word(args.i, args.j)
-        elif fam == "eight_block":
-            w = eight_block_word(args.p, args.i)
-        elif fam == "toric":
-            w = toric_braid(args.p, args.i)
-        else:
-            print(f"unknown family {fam}", file=sys.stderr)
-            return EXIT_DOMAIN
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
-    print(format_word(w))
+    build = WORD_FAMILIES.get(args.family)
+    if build is None:
+        raise ValueError(f"unknown family {args.family}")
+    print(format_word(build(args.p, args.i, args.j)))
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
+    specs = [
+        TorusLinkSpec(p, q)
+        for p in range(args.p_min, args.p_max + 1)
+        for q in range(args.q_min, args.q_max + 1)
+    ]
     print("p,q,components,proper,min_bound,case")
-    for p in range(args.p_min, args.p_max + 1):
-        for q in range(args.q_min, args.q_max + 1):
-            spec = TorusLinkSpec(p, q)
-            try:
-                results = bound(spec)
-            except NotProperError:
-                print(f"{p},{q},{spec.components},no,,")
-                continue
-            if results:
-                best = results[0]
-                print(
-                    f"{p},{q},{spec.components},yes,{best.bound},{best.case.value}"
-                )
-            else:
-                print(f"{p},{q},{spec.components},yes,,")
+    for spec in specs:
+        p, q = spec.p, spec.q
+        try:
+            results = bound(spec)
+        except NotProperError:
+            print(f"{p},{q},{spec.components},no,,")
+            continue
+        if results:
+            best = results[0]
+            print(f"{p},{q},{spec.components},yes,{best.bound},{best.case.value}")
+        else:
+            print(f"{p},{q},{spec.components},yes,,")
     return EXIT_OK
 
 
@@ -269,6 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ValueError as exc:  # bad input, NotProperError, CaseNotCovered
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -21,13 +21,16 @@ class Gf2System:
 
     ``pivots[k]`` is the pivot column of ``reduced[k]``; ``combos[k]`` is the
     bitmask (over original row indices) whose XOR yields ``reduced[k]``, so
-    solutions can be reported in terms of the input rows.
+    solutions can be reported in terms of the input rows.  ``kernel`` is a
+    basis of the input-row combinations that XOR to zero, one per row that
+    reduced to zero, in input order.
     """
 
     ncols: int
     reduced: tuple[int, ...]
     pivots: tuple[int, ...]
     combos: tuple[int, ...]
+    kernel: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -51,6 +54,7 @@ def row_reduce(rows: Sequence[int], ncols: int) -> Gf2System:
     reduced: list[int] = []
     pivots: list[int] = []
     combos: list[int] = []
+    kernel: list[int] = []
     for idx, row in enumerate(rows):
         combo = 1 << idx
         for r, piv, cmb in zip(reduced, pivots, combos):
@@ -61,65 +65,39 @@ def row_reduce(rows: Sequence[int], ncols: int) -> Gf2System:
             reduced.append(row)
             pivots.append(row.bit_length() - 1)
             combos.append(combo)
-    return Gf2System(ncols, tuple(reduced), tuple(pivots), tuple(combos))
-
-
-def nullspace_basis(rows: Sequence[int], count: int) -> list[int]:
-    """Basis of {combinations of the given rows that XOR to zero}, as
-    bitmasks over row indices."""
-    # Reduce the transposed relation: track combos, keep those whose row
-    # image vanishes.  Equivalent to kernel of the row-selection map.
-    reduced: list[int] = []
-    pivots: list[int] = []
-    combos: list[int] = []
-    basis: list[int] = []
-    for idx in range(count):
-        row = rows[idx]
-        combo = 1 << idx
-        for r, piv, cmb in zip(reduced, pivots, combos):
-            if row and (row >> piv) & 1:
-                row ^= r
-                combo ^= cmb
-        if row:
-            reduced.append(row)
-            pivots.append(row.bit_length() - 1)
-            combos.append(combo)
         else:
-            basis.append(combo)
-    return basis
+            kernel.append(combo)
+    return Gf2System(
+        ncols, tuple(reduced), tuple(pivots), tuple(combos), tuple(kernel)
+    )
 
 
-def solution_coset(
-    rows: Sequence[int], count: int, target: int
-) -> Iterator[int]:
+def solution_coset(rows: Sequence[int], target: int) -> Iterator[int]:
     """All row-selection bitmasks XORing to ``target`` (empty if none)."""
     system = row_reduce(rows, max(r.bit_length() for r in rows) if rows else 0)
     particular = system.solve(target)
     if particular is None:
         return
-    basis = nullspace_basis(rows, count)
-    for k in range(len(basis) + 1):
-        for combo in combinations(basis, k):
+    for k in range(len(system.kernel) + 1):
+        for combo in combinations(system.kernel, k):
             out = particular
             for b in combo:
                 out ^= b
             yield out
 
 
-def min_weight_solution(
-    rows: Sequence[int], count: int, target: int
-) -> int | None:
+def min_weight_solution(rows: Sequence[int], target: int) -> int | None:
     best: int | None = None
-    for sol in solution_coset(rows, count, target):
+    for sol in solution_coset(rows, target):
         if best is None or popcount(sol) < popcount(best):
             best = sol
     return best
 
 
 def solution_of_weight(
-    rows: Sequence[int], count: int, target: int, weight: int
+    rows: Sequence[int], target: int, weight: int
 ) -> int | None:
-    for sol in solution_coset(rows, count, target):
+    for sol in solution_coset(rows, target):
         if popcount(sol) == weight:
             return sol
     return None

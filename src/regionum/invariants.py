@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 from functools import lru_cache
-from math import comb
 
 from .braid import (
     BraidWord,
@@ -37,10 +36,6 @@ from .braid import (
 from .laurent import LOOP, LaurentPoly
 
 MAX_STRANDS = 12  # Catalan(12) = 208012 planar matchings
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 Matching = tuple[int, ...]  # fixed-point-free involution of 0..2p-1

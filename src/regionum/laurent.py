@@ -93,9 +93,6 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def shift(self, exp: int) -> "LaurentPoly":
-        return LaurentPoly({e + exp: c for e, c in self._coeffs.items()})
-
     def __repr__(self) -> str:
         if not self._coeffs:
             return "0"
@@ -130,10 +127,6 @@ class LaurentPoly:
             else:
                 parts.append(f"{c:+d}*t^({k}/2)")
         return " ".join(parts)
-
-    def to_json_terms(self) -> list[list[int]]:
-        """Exponent/coefficient pairs in A-units, exponent-sorted."""
-        return [[e, self._coeffs[e]] for e in sorted(self._coeffs)]
 
 
 A = LaurentPoly.monomial(1)

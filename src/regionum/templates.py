@@ -15,7 +15,7 @@ the test suite checks through the Jones polynomial and component counts.
 
 from __future__ import annotations
 
-from .braid import BraidWord
+from .braid import BraidWord, toric_braid
 
 
 def mu(p: int, i: int) -> BraidWord:
@@ -240,20 +240,14 @@ def lemma_words(kind: str, **params) -> tuple[BraidWord, BraidWord]:
     raise ValueError(f"unknown lemma family {kind!r}")
 
 
-WORD_FAMILIES = (
-    "mu",
-    "nu",
-    "staircase",
-    "mirror_staircase",
-    "three_block",
-    "generator_run",
-    "eight_block",
-)
-
-
-def target_word(spec, case):
-    """Post-change braid word for a torus link and an applicable theorem
-    case; see :func:`regionum.bounds.target_word`."""
-    from . import bounds
-
-    return bounds.target_word(spec, case)
+# Named word families for the CLI; each builder takes (p, i, j).
+WORD_FAMILIES = {
+    "mu": lambda p, i, j: mu(p, i),
+    "nu": lambda p, i, j: nu(p, i),
+    "staircase": lambda p, i, j: staircase_word(p),
+    "mirror_staircase": lambda p, i, j: mirror_staircase_word(p),
+    "three_block": lambda p, i, j: three_block_word(p),
+    "generator_run": lambda p, i, j: generator_run_word(i, j),
+    "eight_block": lambda p, i, j: eight_block_word(p, i),
+    "toric": lambda p, i, j: toric_braid(p, i),
+}

@@ -1,20 +1,22 @@
+import hashlib
 import json
 from math import gcd
 
 import pytest
 
 from regionum.bounds import (
-    UNREALIZABLE,
+    CaseNotCovered,
     NotProperError,
+    TheoremCase,
     bound,
     explicit_schedule,
     flip_vector_for,
     incidence_rank_data,
-    realize_regions,
     target_word,
     verify_bound,
 )
 from regionum.diagram import toric_diagram
+from regionum.gf2 import min_weight_solution, select_bits
 from regionum.invariants import Verdict, certify_unlink
 from regionum.properness import TorusLinkSpec, is_proper
 
@@ -91,12 +93,23 @@ def test_flip_vector_realizable_at_bound_weight():
         best = next(r for r in bound(spec) if r.constructible)
         v = flip_vector_for(spec, best.case)
         diagram = toric_diagram(p, q)
-        realized = realize_regions(diagram, v)
-        assert realized is not UNREALIZABLE
-        assert len(realized) <= best.bound
-        assert diagram.region_crossing_changes(realized.region_ids).word() == (
+        realized = min_weight_solution(diagram.incidence_matrix(), v.bits)
+        assert realized is not None
+        region_ids = [k + 1 for k in select_bits(realized)]
+        assert len(region_ids) <= best.bound
+        assert diagram.region_crossing_changes(region_ids).word() == (
             target_word(spec, best.case)
         )
+
+
+def test_case_that_does_not_apply_is_refused():
+    # K(3,4) is q = np+1 and K(3,5) is q = np+2: neither case applies
+    with pytest.raises(CaseNotCovered):
+        target_word(TorusLinkSpec(3, 4), TheoremCase.NP_P_N_EVEN)
+    with pytest.raises(CaseNotCovered):
+        flip_vector_for(TorusLinkSpec(3, 5), TheoremCase.NP1_P_ODD)
+    with pytest.raises(CaseNotCovered):
+        explicit_schedule(TorusLinkSpec(3, 5), TheoremCase.NP1_P_ODD)
 
 
 def test_verify_bound_produces_certificate():
@@ -124,3 +137,43 @@ def test_incidence_rank_law():
         rank, nullity = incidence_rank_data(diagram)
         assert rank == diagram.crossings - d + 1
         assert nullity == d + 1
+
+
+# sha256 over every spec p = 2..15, p < q < 8p (819 specs, 70 not proper) of
+# each applicable case's value, bound, constructibility and region ids.
+CASE_TABLE_DIGEST = "8da817af4706d105f6e472609550ce31fbefdd6b3ce0cc7fad6136d6d74441d1"
+
+
+def test_case_table_golden_digest():
+    h = hashlib.sha256()
+    for p in range(2, 16):
+        for q in range(p + 1, 8 * p):
+            spec = TorusLinkSpec(p, q)
+            try:
+                results = bound(spec)
+            except NotProperError:
+                rows = None
+            else:
+                rows = [
+                    [
+                        r.case.value,
+                        r.bound,
+                        r.constructible,
+                        list(explicit_schedule(spec, r.case).region_ids)
+                        if r.constructible
+                        else None,
+                    ]
+                    for r in results
+                ]
+            h.update(json.dumps([p, q, rows]).encode())
+    assert h.hexdigest() == CASE_TABLE_DIGEST
+
+
+def test_tied_bounds_keep_case_order():
+    # K(4,10) gets 5 from two cases; the earlier theorem case is chosen
+    results = bound(TorusLinkSpec(4, 10))
+    assert [r.case for r in results if r.constructible][:2] == [
+        TheoremCase.NP2_P_N_EVEN,
+        TheoremCase.NPM2_P_EVEN_N_ODD,
+    ]
+    assert verify_bound(TorusLinkSpec(4, 10)).case is TheoremCase.NP2_P_N_EVEN

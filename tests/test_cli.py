@@ -78,6 +78,9 @@ def test_word_families(capsys):
     code, out, _ = run(capsys, "word", "--family", "staircase", "--p", "3")
     assert code == 0
     assert out.strip() == "1 2 1 -2 -1 -2"
+    code, out, _ = run(capsys, "word", "--family", "toric", "--p", "3", "--i", "2")
+    assert code == 0
+    assert out.strip() == "1 2 1 2"
     code, _, err = run(capsys, "word", "--family", "bogus")
     assert code == 1
     code, _, err = run(capsys, "word", "--family", "mu", "--p", "3", "--i", "9")
@@ -96,3 +99,26 @@ def test_table_csv(capsys):
 def test_unknown_command_exits_with_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["proper", "1", "5"], None),
+        (["bound", "0", "3"], None),
+        (["verify", "3", "0"], None),
+        (["table", "2", "3", "0", "2"], None),
+        (["jones", "1 x"], None),
+        (["brute", "9", "10"], None),
+        (["probe", "5", "6"], None),
+        (["verify", "3", "4"], "abc"),
+    ],
+)
+def test_bad_input_is_refused_in_one_line(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("REGIONUM_BUDGET", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

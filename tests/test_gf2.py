@@ -3,7 +3,6 @@ from itertools import combinations
 
 from regionum.gf2 import (
     min_weight_solution,
-    nullspace_basis,
     popcount,
     row_reduce,
     select_bits,
@@ -55,10 +54,9 @@ def test_nullspace_dimension():
     for _ in range(20):
         n = rng.randint(1, 7)
         rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
-        rank = len(row_reduce(rows, n).reduced)
-        basis = nullspace_basis(rows, len(rows))
-        assert len(basis) == len(rows) - rank
-        for mask in basis:
+        system = row_reduce(rows, n)
+        assert len(system.kernel) == len(rows) - system.rank
+        for mask in system.kernel:
             v = 0
             for i in select_bits(mask):
                 v ^= rows[i]
@@ -71,7 +69,7 @@ def test_solution_coset_exhaustive():
         n = rng.randint(1, 6)
         rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
         target = rng.getrandbits(n)
-        found = set(solution_coset(rows, len(rows), target))
+        found = set(solution_coset(rows, target))
         expected = set()
         for k in range(len(rows) + 1):
             for idxs in combinations(range(len(rows)), k):
@@ -88,8 +86,8 @@ def test_solution_coset_exhaustive():
 def test_min_weight_and_exact_weight_solutions():
     rows = [0b0011, 0b0110, 0b1100]
     target = 0b1111
-    best = min_weight_solution(rows, len(rows), target)
+    best = min_weight_solution(rows, target)
     assert best is not None and popcount(best) == 2
-    assert solution_of_weight(rows, len(rows), target, 2) is not None
-    assert solution_of_weight(rows, len(rows), target, 3) is None
-    assert min_weight_solution(rows, len(rows), 0b0001) is None
+    assert solution_of_weight(rows, target, 2) is not None
+    assert solution_of_weight(rows, target, 3) is None
+    assert min_weight_solution(rows, 0b0001) is None

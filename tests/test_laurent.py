@@ -35,10 +35,6 @@ def test_pow_matches_repeated_multiplication():
         LOOP ** (-1)
 
 
-def test_shift():
-    assert LaurentPoly({0: 1, 4: 2}).shift(-4) == LaurentPoly({-4: 1, 0: 2})
-
-
 def test_hash_consistent_with_eq():
     assert hash(LaurentPoly({2: 1})) == hash(LaurentPoly([(2, 2), (2, -1)]))
 
@@ -56,7 +52,3 @@ def test_format_t():
     assert LaurentPoly.one().format_t() == "+1"
     assert LOOP.format_t() == "-1*t^(-1/2) -1*t^(1/2)"
     assert LaurentPoly.monomial(-8, 3).format_t() == "+3*t^2"
-
-
-def test_json_terms_sorted():
-    assert LaurentPoly({4: 1, -2: 5}).to_json_terms() == [[-2, 5], [4, 1]]
