@@ -21,7 +21,7 @@ from .bounds import (
 )
 from .braid import format_word, parse_word, toric_braid
 from .diagram import close_braid
-from .invariants import MAX_STRANDS, Verdict, jones
+from .invariants import Verdict, jones
 from .properness import (
     TorusLinkSpec,
     is_proper_closed_form,
@@ -132,11 +132,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    word = parse_word(args.word, strands=args.strands)
-    if word.strands > MAX_STRANDS:
-        print(f"strand count exceeds {MAX_STRANDS}", file=sys.stderr)
-        return EXIT_DOMAIN
-    print(jones(word).format_t())
+    print(jones(parse_word(args.word, strands=args.strands)).format_t())
     return EXIT_OK
 
 

@@ -285,9 +285,13 @@ def _number_regions(w: BraidWord, faces: list[list[int]]) -> list[Region]:
     the anchors' 1-based letter positions.  The two large side faces get
     the last two ids (left side first).  This convention was calibrated so
     the arithmetic region-set schedules in :mod:`regionum.bounds` land on
-    the intended faces; the anchors of the small faces of a connected
-    closed-braid diagram turn out to be pairwise distinct, which makes the
-    numbering a bijection onto 1..crossings.
+    the intended faces.  Small faces are numbered in order of (anchor,
+    half-edge orbit).  On the standard diagram of every K(p,q) with
+    p = 2..15, 2 <= q < 8p other than K(2,2) the anchors are pairwise
+    distinct, so each small face's id is its anchor, which the schedules
+    rely on.  Anchors can coincide elsewhere (K(2,2), about half of
+    random connected words); the orbit then breaks the tie, and ids stay
+    1..crossings.
     """
     gens = [abs(x) for x in w.letters]
     length = len(gens)
@@ -308,9 +312,6 @@ def _number_regions(w: BraidWord, faces: list[list[int]]) -> list[Region]:
         if idx in (left_face, right_face):
             continue
         anchored.append((_cyclic_anchor(sorted({h >> 2 for h in orbit}), length), orbit))
-    anchors = [a for a, _ in anchored]
-    if len(set(anchors)) != len(anchors):  # pragma: no cover - safety net
-        anchored = [(i, orbit) for i, (_, orbit) in enumerate(sorted(anchored))]
     anchored.sort()
 
     regions = []

@@ -112,6 +112,7 @@ def test_unknown_command_exits_with_argparse_error(capsys):
         (["brute", "9", "10"], None),
         (["probe", "5", "6"], None),
         (["verify", "3", "4"], "abc"),
+        (["jones", "1", "--strands", "13"], None),
     ],
 )
 def test_bad_input_is_refused_in_one_line(capsys, monkeypatch, argv, env):
@@ -121,4 +122,5 @@ def test_bad_input_is_refused_in_one_line(capsys, monkeypatch, argv, env):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
+    assert err.startswith(f"{argv[0]}: ")
     assert "Traceback" not in err

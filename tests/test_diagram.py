@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from regionum import diagram
 from regionum.braid import BraidWord, parse_word, toric_braid
 from regionum.diagram import (
     DisconnectedDiagramError,
@@ -21,6 +22,39 @@ def random_connected_word(rng, p, c):
         )
         if {abs(x) for x in w.letters} == set(range(1, p)):
             return w
+
+
+def _anchors(d):
+    return [
+        diagram._cyclic_anchor(sorted(set(r.corners)), d.crossings)
+        for r in d.regions
+        if not r.is_outer
+    ]
+
+
+def test_standard_diagram_ids_are_face_anchors():
+    # region schedules index small faces by anchor position
+    for p in range(2, 7):
+        for q in range(p + 1, 6 * p + 6):
+            d = toric_diagram(p, q)
+            assert _anchors(d) == list(range(1, d.crossings + 1)), (p, q)
+
+
+def test_tied_face_anchors_are_broken_by_orbit(monkeypatch):
+    # K(2,2): both bigons have corners {0, 1}, so both anchor at letter 1
+    d = toric_diagram(2, 2)
+    assert _anchors(d) == [1, 1]
+    assert [r.id for r in d.regions] == [1, 2, 3, 4]
+    # with every anchor tied, the numbering is still a deterministic
+    # relabelling of the same faces
+    expected = close_braid(toric_braid(3, 4))
+    monkeypatch.setattr(diagram, "_cyclic_anchor", lambda corners, length: 1)
+    tied = close_braid(toric_braid(3, 4))
+    assert tied == close_braid(toric_braid(3, 4))
+    assert sorted(r.corners for r in tied.regions) == sorted(
+        r.corners for r in expected.regions
+    )
+    assert [r.id for r in tied.regions] == list(range(1, len(tied.regions) + 1))
 
 
 def test_close_braid_rejects_disconnected():
