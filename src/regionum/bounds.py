@@ -29,7 +29,7 @@ import json
 from typing import Callable, NamedTuple
 
 from .braid import BraidWord, toric_braid
-from .diagram import FlipVector, PlanarDiagram, close_braid
+from .diagram import PlanarDiagram, close_braid
 from .gf2 import row_reduce, solution_of_weight
 from .invariants import UnlinkCertificate, Verdict, certify_unlink
 from .properness import TorusLinkSpec, is_proper
@@ -263,7 +263,7 @@ def _sched_npm2_n_even(p: int, n: int, a: int) -> list[int]:
     tail = list(_X_union(p // 2, p))
     c1 = (2 * p - 3) * (p - 1) + 2
     tail += [c1 - x for x in _X_union((p - 4) // 2, p)]
-    tail += [(p + 2 + 4 * i) * (p - 1) + 1 for i in range(p // 4 - 1)]
+    tail += [(p + 5 + 4 * i) * (p - 1) for i in range(p // 4 - 1)]
     return head + [off + x for x in tail]
 
 
@@ -492,7 +492,7 @@ def _printed_target(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord | None:
     return rec.target(spec.p, n, a) if rec.target else None
 
 
-def _flip_vector(toric: BraidWord, target: BraidWord) -> FlipVector:
+def _flip_vector(toric: BraidWord, target: BraidWord) -> int:
     """Bit c set iff crossing c differs in sign between the two words."""
     if tuple(abs(x) for x in toric.letters) != tuple(abs(x) for x in target.letters):
         raise AssertionError("target word changes generator positions")
@@ -500,7 +500,7 @@ def _flip_vector(toric: BraidWord, target: BraidWord) -> FlipVector:
     for c, (x, y) in enumerate(zip(toric.letters, target.letters)):
         if x != y:
             bits |= 1 << c
-    return FlipVector(len(toric.letters), bits)
+    return bits
 
 
 def target_word(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord:
@@ -514,13 +514,13 @@ def target_word(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord:
     return diagram.region_crossing_changes(explicit_schedule(spec, case).region_ids).word()
 
 
-def flip_vector_for(spec: TorusLinkSpec, case: TheoremCase) -> FlipVector:
+def flip_vector_for(spec: TorusLinkSpec, case: TheoremCase) -> int:
     """Bit c set iff crossing c differs in sign between the torus braid
     and the case's target word."""
     return _flip_vector(toric_braid(spec.p, spec.q), target_word(spec, case))
 
 
-def verify_bound(spec: TorusLinkSpec, budget: int | None = None) -> BoundResult:
+def verify_bound(spec: TorusLinkSpec) -> BoundResult:
     """End-to-end certificate for the best constructible bound.
 
     Pipeline: pick the smallest applicable bound that has a construction
@@ -552,13 +552,13 @@ def verify_bound(spec: TorusLinkSpec, budget: int | None = None) -> BoundResult:
         raise AssertionError(
             f"{chosen.case}: schedule does not produce the expected target word"
         )
-    v = _flip_vector(toric, target)
-    if solution_of_weight(diagram.incidence_matrix(), v.bits, len(schedule)) is None:
+    flips = _flip_vector(toric, target)
+    if solution_of_weight(diagram.rows, flips, len(schedule)) is None:
         raise AssertionError(
             f"{chosen.case}: no region set of size {len(schedule)} realizes "
             "the flip pattern"
         )
-    unlink = certify_unlink(target, budget=budget)
+    unlink = certify_unlink(target)
     if unlink.verdict is Verdict.REFUTED:
         raise AssertionError(
             f"{chosen.case}: target closure of K({spec.p},{spec.q}) is "
@@ -570,6 +570,5 @@ def verify_bound(spec: TorusLinkSpec, budget: int | None = None) -> BoundResult:
 
 def incidence_rank_data(diagram: PlanarDiagram) -> tuple[int, int]:
     """(rank, nullity) of the region incidence system over GF(2)."""
-    rows = diagram.incidence_matrix()
-    rank = row_reduce(rows, diagram.crossings).rank
-    return rank, len(rows) - rank
+    rank = row_reduce(diagram.rows, diagram.crossings).rank
+    return rank, len(diagram.rows) - rank

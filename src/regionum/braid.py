@@ -9,23 +9,10 @@ A braid word is a sequence of nonzero integers.  The letter ``k`` with
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Iterable, Sequence
 
-DEFAULT_HANDLE_BUDGET = 10**6
-
-
-def _env_budget() -> int:
-    raw = os.environ.get("REGIONUM_BUDGET")
-    if raw is None:
-        return DEFAULT_HANDLE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(f"REGIONUM_BUDGET must be a positive integer, got {raw!r}")
-    return value
+HANDLE_BUDGET = 10**6  # handle-reduction steps before BudgetExceeded
+MARKOV_MAX_ROUNDS = 10_000  # rounds of markov_simplify before it stops
 
 
 class BudgetExceeded(Exception):
@@ -149,7 +136,7 @@ def _find_handle(letters: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-def handle_reduce(w: BraidWord, budget: int | None = None) -> BraidWord:
+def handle_reduce(w: BraidWord, budget: int = HANDLE_BUDGET) -> BraidWord:
     """Dehornoy handle reduction.
 
     Returns a handle-free word representing the same braid-group element;
@@ -157,8 +144,6 @@ def handle_reduce(w: BraidWord, budget: int | None = None) -> BraidWord:
     :class:`BudgetExceeded` when the step budget runs out (never a wrong
     answer).
     """
-    if budget is None:
-        budget = _env_budget()
     letters = _free_reduce_list(w.letters)
     steps = 0
     while True:
@@ -183,11 +168,11 @@ def handle_reduce(w: BraidWord, budget: int | None = None) -> BraidWord:
         letters = _free_reduce_list(letters[:s] + replacement + letters[t + 1 :])
 
 
-def is_trivial_braid(w: BraidWord, budget: int | None = None) -> bool:
+def is_trivial_braid(w: BraidWord) -> bool:
     """Word-problem solution: does ``w`` represent the identity braid?"""
     if not w.is_identity_permutation() or w.writhe != 0:
         return False
-    return len(handle_reduce(w, budget=budget)) == 0
+    return len(handle_reduce(w)) == 0
 
 
 def closure_components(w: BraidWord) -> int:
@@ -259,11 +244,7 @@ def split_unused(w: BraidWord) -> list[BraidWord]:
     return pieces
 
 
-def markov_simplify(
-    w: BraidWord,
-    max_rounds: int = 10_000,
-    conjugator_length: int = 2,
-) -> BraidWord:
+def markov_simplify(w: BraidWord, conjugator_length: int = 2) -> BraidWord:
     """Greedy closure-preserving simplification.
 
     Applies free reduction, cyclic shifts, bounded conjugation search and
@@ -272,7 +253,7 @@ def markov_simplify(
     deterministic and idempotent.
     """
     best = free_reduce(w)
-    for _ in range(max_rounds):
+    for _ in range(MARKOV_MAX_ROUNDS):
         changed = False
         # Destabilize from any cyclic rotation.
         for k in range(max(len(best), 1)):

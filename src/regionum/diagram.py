@@ -35,46 +35,13 @@ class DisconnectedDiagramError(ValueError):
 class Region:
     """A face of the diagram.
 
-    ``corners`` lists one crossing id per face corner (so a crossing touched
-    at two corners appears twice); ``support`` is the crossing set a region
-    crossing change flips (set semantics).
+    ``corners`` lists one crossing id per face corner, so a crossing touched
+    at two corners appears twice.
     """
 
     id: int
     corners: tuple[int, ...]
     is_outer: bool
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.corners)
-
-
-@dataclasses.dataclass(frozen=True)
-class FlipVector:
-    """GF(2) vector over crossings: bit c set means crossing c changes."""
-
-    length: int
-    bits: int
-
-    @classmethod
-    def from_crossings(cls, length: int, crossings) -> "FlipVector":
-        bits = 0
-        for c in crossings:
-            if not 0 <= c < length:
-                raise ValueError(f"crossing {c} out of range")
-            bits |= 1 << c
-        return cls(length, bits)
-
-    def __xor__(self, other: "FlipVector") -> "FlipVector":
-        if other.length != self.length:
-            raise ValueError("length mismatch")
-        return FlipVector(self.length, self.bits ^ other.bits)
-
-    def crossings(self) -> tuple[int, ...]:
-        return tuple(c for c in range(self.length) if (self.bits >> c) & 1)
-
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,13 +57,19 @@ class LinkingData:
 @dataclasses.dataclass(frozen=True)
 class PlanarDiagram:
     """Immutable closed-braid diagram; region crossing change returns a copy
-    with flipped signs and shared map structure."""
+    with flipped signs and shared map structure.
+
+    A set of crossing changes is an int over crossings: bit c set means
+    crossing c flips.  ``rows[k]`` is the flip set of a region crossing
+    change at region k + 1 (a crossing at two corners of the face flips
+    once), so a set of region changes flips the XOR of their rows.
+    """
 
     strands: int
     generators: tuple[int, ...]  # generator index (1-based) per crossing
     signs: tuple[int, ...]  # +1 / -1 per crossing
-    alpha: tuple[int, ...]  # half-edge involution (other end of each edge)
     regions: tuple[Region, ...]  # 1-based ids, small regions first
+    rows: tuple[int, ...]  # flip set of each region, in id order
     component_of_strand: tuple[int, ...]  # component label per starting column
 
     @property
@@ -120,35 +93,20 @@ class PlanarDiagram:
             )
         return self.regions[region_id - 1]
 
-    def region_crossing_change(self, region_id: int) -> "PlanarDiagram":
-        return self.apply_flips(
-            FlipVector.from_crossings(self.crossings, self.region_by_id(region_id).support)
-        )
-
     def region_crossing_changes(self, region_ids) -> "PlanarDiagram":
-        v = FlipVector(self.crossings, 0)
+        bits = 0
         for r in region_ids:
-            v ^= FlipVector.from_crossings(self.crossings, self.region_by_id(r).support)
-        return self.apply_flips(v)
+            self.region_by_id(r)  # range check
+            bits ^= self.rows[r - 1]
+        return self.apply_flips(bits)
 
-    def apply_flips(self, v: FlipVector) -> "PlanarDiagram":
-        if v.length != self.crossings:
-            raise ValueError("flip vector length mismatch")
-        signs = tuple(
-            -s if (v.bits >> c) & 1 else s for c, s in enumerate(self.signs)
-        )
+    def apply_flips(self, bits: int) -> "PlanarDiagram":
+        if bits >> self.crossings:
+            raise ValueError(
+                f"flip set {bits:#x} has bits beyond crossing {self.crossings - 1}"
+            )
+        signs = tuple(-s if (bits >> c) & 1 else s for c, s in enumerate(self.signs))
         return dataclasses.replace(self, signs=signs)
-
-    def incidence_matrix(self) -> list[int]:
-        """Rows (one int bitmask per region, in id order) over crossings,
-        set semantics: bit c set iff RCC at the region flips crossing c."""
-        rows = []
-        for region in self.regions:
-            bits = 0
-            for c in region.support:
-                bits |= 1 << c
-            rows.append(bits)
-        return rows
 
     def linking_data(self) -> LinkingData:
         d = self.component_count
@@ -173,7 +131,6 @@ class PlanarDiagram:
         )
 
     def to_json(self) -> str:
-        rows = self.incidence_matrix()
         return json.dumps(
             {
                 "strands": self.strands,
@@ -181,13 +138,13 @@ class PlanarDiagram:
                 "regions": [
                     {
                         "id": r.id,
-                        "crossings": sorted(r.support),
+                        "crossings": sorted(set(r.corners)),
                         "is_outer": r.is_outer,
                     }
                     for r in self.regions
                 ],
                 "incidence": [
-                    format(row, f"0{max(self.crossings, 1)}b")[::-1] for row in rows
+                    format(row, f"0{max(self.crossings, 1)}b")[::-1] for row in self.rows
                 ],
             }
         )
@@ -235,6 +192,7 @@ def close_braid(w: BraidWord) -> PlanarDiagram:
             f"face count {len(faces)} != crossings + 2; diagram is not planar/connected"
         )
     regions = _number_regions(w, faces)
+    rows = tuple(sum(1 << c for c in set(r.corners)) for r in regions)
 
     perm = w.permutation()
     component_of_strand = [-1] * w.strands
@@ -252,8 +210,8 @@ def close_braid(w: BraidWord) -> PlanarDiagram:
         strands=w.strands,
         generators=tuple(abs(x) for x in w.letters),
         signs=tuple(1 if x > 0 else -1 for x in w.letters),
-        alpha=tuple(alpha),
         regions=tuple(regions),
+        rows=rows,
         component_of_strand=tuple(component_of_strand),
     )
 

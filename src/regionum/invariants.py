@@ -281,7 +281,7 @@ class UnlinkCertificate:
     reduced: tuple[BraidWord, ...]  # final state of the reduction engine
 
 
-def _reduce_to_unlink(w: BraidWord, budget: int | None) -> tuple[bool, tuple[BraidWord, ...]]:
+def _reduce_to_unlink(w: BraidWord) -> tuple[bool, tuple[BraidWord, ...]]:
     """Try to reduce the closure to a disjoint union of trivial circles by
     alternating handle reduction with Markov simplification, falling back
     to a bounded best-first search over Markov moves per stuck piece."""
@@ -294,7 +294,7 @@ def _reduce_to_unlink(w: BraidWord, budget: int | None) -> tuple[bool, tuple[Bra
                 if not part.letters:
                     continue
                 try:
-                    reduced = handle_reduce(part, budget=budget)
+                    reduced = handle_reduce(part)
                 except BudgetExceeded:
                     reduced = part
                 simplified = markov_simplify(reduced)
@@ -306,7 +306,7 @@ def _reduce_to_unlink(w: BraidWord, budget: int | None) -> tuple[bool, tuple[Bra
             return True, ()
         if not progressed:
             break
-    residue = [p for p in pieces if not _search_dissolves(p, budget)]
+    residue = [p for p in pieces if not _search_dissolves(p)]
     if not residue:
         return True, ()
     return False, tuple(residue)
@@ -314,9 +314,10 @@ def _reduce_to_unlink(w: BraidWord, budget: int | None) -> tuple[bool, tuple[Bra
 
 SEARCH_MAX_NODES = 3000
 SEARCH_SLACK = 4  # letters a candidate may grow beyond the start word
+SEARCH_STEP_BUDGET = 500  # handle-reduction steps per search candidate
 
 
-def _search_dissolves(w: BraidWord, budget: int | None, max_nodes: int = SEARCH_MAX_NODES) -> bool:
+def _search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
     """Best-first search over closure-preserving moves (cyclic shifts,
     single-letter conjugations, each followed by handle reduction and
     greedy simplification), fewest strands and letters first.  True iff
@@ -330,7 +331,6 @@ def _search_dissolves(w: BraidWord, budget: int | None, max_nodes: int = SEARCH_
     start = markov_simplify(w)
     if not start.letters:
         return True
-    step_budget = 500 if budget is None else min(budget, 500)
     seen: set[tuple[int, tuple[int, ...]]] = set()
     tick = itertools.count()
     heap = [((start.strands, len(start.letters)), next(tick), start)]
@@ -348,7 +348,7 @@ def _search_dissolves(w: BraidWord, budget: int | None, max_nodes: int = SEARCH_
             neighbours.append(conjugate(cur, -g))
         for cand in neighbours:
             try:
-                cand = handle_reduce(cand, budget=step_budget)
+                cand = handle_reduce(cand, budget=SEARCH_STEP_BUDGET)
             except BudgetExceeded:
                 pass
             cand = markov_simplify(cand, conjugator_length=1)
@@ -357,7 +357,7 @@ def _search_dissolves(w: BraidWord, budget: int | None, max_nodes: int = SEARCH_
             parts = split_unused(cand)
             if len(parts) > 1:
                 if all(
-                    not part.letters or _search_dissolves(part, budget, max_nodes // 2)
+                    not part.letters or _search_dissolves(part, max_nodes // 2)
                     for part in parts
                 ):
                     return True
@@ -372,7 +372,7 @@ def _search_dissolves(w: BraidWord, budget: int | None, max_nodes: int = SEARCH_
     return False
 
 
-def certify_unlink(w: BraidWord, budget: int | None = None) -> UnlinkCertificate:
+def certify_unlink(w: BraidWord) -> UnlinkCertificate:
     """Three-way unlink check for the closure of ``w``.
 
     Refuted when the Jones polynomial differs from the trivial-link value
@@ -388,7 +388,7 @@ def certify_unlink(w: BraidWord, budget: int | None = None) -> UnlinkCertificate
             return UnlinkCertificate(Verdict.REFUTED, d, False, (w,))
     else:
         jones_ok = None
-    done, residue = _reduce_to_unlink(w, budget)
+    done, residue = _reduce_to_unlink(w)
     if done:
         return UnlinkCertificate(Verdict.CERTIFIED, d, jones_ok, ())
     return UnlinkCertificate(Verdict.INCONCLUSIVE, d, jones_ok, residue)

@@ -36,15 +36,15 @@ def _two_braid_trivial(w: BraidWord) -> bool:
     return abs(sum(1 if x > 0 else -1 for x in w.letters)) <= 1
 
 
-def brute_force_uR(
-    diagram: PlanarDiagram, k_max: int, budget: int | None = None
-) -> SearchReport:
+def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
     """Smallest number of region crossing changes trivializing the diagram,
     searching subsets of size 0..k_max in order.
 
     When undecided subsets exist below the first success, the result is
     reported as a lower bound only (exact=None) rather than guessed.
     """
+    if k_max < 0:
+        raise ValueError(f"subset size bound must be >= 0, got {k_max}")
     n_regions = len(diagram.regions)
     if n_regions > MAX_REGIONS:
         raise ValueError(
@@ -65,7 +65,7 @@ def brute_force_uR(
             if two_braid:
                 trivial = _two_braid_trivial(word)
             else:
-                verdict = certify_unlink(word, budget=budget).verdict
+                verdict = certify_unlink(word).verdict
                 if verdict is Verdict.INCONCLUSIVE:
                     undecided += 1
                     if first_undecided_size is None:
@@ -101,7 +101,7 @@ class SharpnessProbe:
     improves_bound: bool  # True would refute the bound's sharpness
 
 
-def sharpness_probe(spec: TorusLinkSpec, budget: int | None = None) -> SharpnessProbe:
+def sharpness_probe(spec: TorusLinkSpec) -> SharpnessProbe:
     """Compare the exact search against the smallest theorem bound on the
     standard diagram of a small torus link."""
     if spec.crossings > 16:
@@ -115,7 +115,7 @@ def sharpness_probe(spec: TorusLinkSpec, budget: int | None = None) -> Sharpness
     theorem = results[0].bound if results else None
     diagram = close_braid(toric_braid(spec.p, spec.q))
     k_max = theorem if theorem is not None else (spec.crossings + 2) // 2
-    report = brute_force_uR(diagram, k_max, budget=budget)
+    report = brute_force_uR(diagram, k_max)
     improves = (
         theorem is not None
         and report.exact is not None

@@ -207,39 +207,6 @@ def eight_block_word(p: int, i: int) -> BraidWord:
     return BraidWord(p, tuple(x for block in blocks for x in block))
 
 
-def lemma_words(kind: str, **params) -> tuple[BraidWord, BraidWord]:
-    """Named (lhs, rhs) closure-equivalent pairs, addressable from the CLI.
-
-    For kinds whose rhs is a trivial link rather than a smaller word, rhs
-    is the empty word on the matching component count.
-    """
-    from .braid import closure_components
-
-    if kind == "eta_ladder":
-        return eta_ladder_words(params["p"], params["a"], params["g"])
-    if kind == "even_ladder":
-        return even_ladder_words(params["p"], params["q"], params["g"])
-    if kind == "width4_cancel":
-        return width4_cancel_words(
-            params["p"],
-            params["beta1"],
-            params["beta2"],
-            params.get("g1", 1),
-            params.get("g2", 1),
-        )
-    if kind == "three_block":
-        return three_block_words(params["p"])
-    if kind == "generator_run":
-        lhs = generator_run_word(params["i"], params["j"], params.get("strands"))
-        return lhs, BraidWord(closure_components(lhs))
-    if kind == "run_pair":
-        return run_pair_words(params["n"])
-    if kind == "eight_block":
-        lhs = eight_block_word(params["p"], params["i"])
-        return lhs, BraidWord(closure_components(lhs))
-    raise ValueError(f"unknown lemma family {kind!r}")
-
-
 # Named word families for the CLI; each builder takes (p, i, j).
 WORD_FAMILIES = {
     "mu": lambda p, i, j: mu(p, i),

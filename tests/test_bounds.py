@@ -91,9 +91,9 @@ def test_flip_vector_realizable_at_bound_weight():
     for p, q in [(3, 4), (4, 5), (5, 6), (4, 10)]:
         spec = TorusLinkSpec(p, q)
         best = next(r for r in bound(spec) if r.constructible)
-        v = flip_vector_for(spec, best.case)
+        flips = flip_vector_for(spec, best.case)
         diagram = toric_diagram(p, q)
-        realized = min_weight_solution(diagram.incidence_matrix(), v.bits)
+        realized = min_weight_solution(diagram.rows, flips)
         assert realized is not None
         region_ids = [k + 1 for k in select_bits(realized)]
         assert len(region_ids) <= best.bound
@@ -129,6 +129,16 @@ def test_verify_bound_produces_certificate():
         assert payload["verdict"] in ("certified", "inconclusive")
 
 
+@pytest.mark.parametrize("q", [14, 30])
+def test_npm2_schedule_certifies_for_p8(q):
+    # q = np - 2 with p = 0 mod 4: the single regions after the staircase
+    # blocks must land on faces that keep the target trivial for p >= 8
+    result = verify_bound(TorusLinkSpec(8, q))
+    assert result.case is TheoremCase.NPM2_P_N_EVEN
+    assert result.certificate.unlink.verdict is Verdict.CERTIFIED
+    assert result.certificate.unlink.jones_matches_unlink is True
+
+
 def test_incidence_rank_law():
     # region space rank c - d + 1, nullity d + 1, on the standard diagrams
     for p, q in [(2, 3), (3, 4), (2, 4), (3, 3), (4, 6), (4, 4)]:
@@ -141,7 +151,7 @@ def test_incidence_rank_law():
 
 # sha256 over every spec p = 2..15, p < q < 8p (819 specs, 70 not proper) of
 # each applicable case's value, bound, constructibility and region ids.
-CASE_TABLE_DIGEST = "8da817af4706d105f6e472609550ce31fbefdd6b3ce0cc7fad6136d6d74441d1"
+CASE_TABLE_DIGEST = "21926915289852284e87594944b8a13bd3892a9b49d133dae535ce0920bf0544"
 
 
 def test_case_table_golden_digest():

@@ -83,12 +83,6 @@ def test_handle_reduce_budget():
         handle_reduce(staircase_word(8), budget=3)
 
 
-def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv("REGIONUM_BUDGET", "3")
-    with pytest.raises(BudgetExceeded):
-        handle_reduce(staircase_word(8))
-
-
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 6), (6, 4)])
 def test_closure_components_is_gcd(p, q):
     assert closure_components(toric_braid(p, q)) == gcd(p, q)

@@ -8,7 +8,6 @@ from regionum import diagram
 from regionum.braid import BraidWord, parse_word, toric_braid
 from regionum.diagram import (
     DisconnectedDiagramError,
-    FlipVector,
     close_braid,
     expected_pairwise_crossings,
     toric_diagram,
@@ -98,7 +97,9 @@ def test_word_roundtrip():
 def test_region_crossing_change_is_involutive():
     d = toric_diagram(3, 5)
     for rid in (1, 4, len(d.regions)):
-        assert d.region_crossing_change(rid).region_crossing_change(rid) == d
+        once = d.region_crossing_changes([rid])
+        assert once != d
+        assert once.region_crossing_changes([rid]) == d
 
 
 def test_region_crossing_changes_order_independent():
@@ -114,18 +115,16 @@ def test_region_crossing_changes_order_independent():
 def test_region_change_flips_exactly_support():
     d = toric_diagram(3, 4)
     r = d.region_by_id(3)
-    changed = d.region_crossing_change(3)
+    changed = d.region_crossing_changes([3])
     flipped = {c for c in range(d.crossings) if changed.signs[c] != d.signs[c]}
-    assert flipped == set(r.support)
-
-
-def test_flip_vector_ops():
-    v = FlipVector.from_crossings(6, [0, 3])
-    u = FlipVector.from_crossings(6, [3, 5])
-    assert (v ^ u).crossings() == (0, 5)
-    assert v.weight() == 2
-    with pytest.raises(ValueError):
-        FlipVector.from_crossings(4, [4])
+    assert flipped == set(r.corners)
+    assert d.apply_flips(d.rows[2]) == changed
+    for bad in (0, len(d.regions) + 1):
+        with pytest.raises(ValueError):
+            d.region_crossing_changes([bad])
+    for bits in (1 << d.crossings, -1):
+        with pytest.raises(ValueError):
+            d.apply_flips(bits)
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 4), (3, 3), (4, 4), (4, 6), (6, 3)])
@@ -158,6 +157,6 @@ def test_to_json_parses_and_matches():
 
 def test_incidence_matrix_matches_supports():
     d = toric_diagram(4, 5)
-    rows = d.incidence_matrix()
-    for region, row in zip(d.regions, rows):
-        assert {c for c in range(d.crossings) if (row >> c) & 1} == set(region.support)
+    assert len(d.rows) == len(d.regions)
+    for region, row in zip(d.regions, d.rows):
+        assert {c for c in range(d.crossings) if (row >> c) & 1} == set(region.corners)

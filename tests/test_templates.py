@@ -5,12 +5,10 @@ import pytest
 from regionum.braid import closure_components, handle_reduce
 from regionum.invariants import Verdict, certify_unlink, jones, unlink_jones
 from regionum.templates import (
-    WORD_FAMILIES,
     eight_block_word,
     eta_ladder_words,
     even_ladder_words,
     generator_run_word,
-    lemma_words,
     mirror_staircase_word,
     mu,
     nu,
@@ -124,23 +122,3 @@ def test_eight_block_shifted_copies_certify():
     cert = certify_unlink(eight_block_word(13, 5))
     assert cert.verdict is Verdict.CERTIFIED
     assert cert.components == 5  # one extra untouched strand
-
-
-def test_lemma_words_dispatcher_covers_families():
-    rng = random.Random(41)
-    pairs = [
-        lemma_words("eta_ladder", p=5, a=2, g=sign_table(rng, 2, 3)),
-        lemma_words("even_ladder", p=6, q=2, g=sign_table(rng, 2, 4)),
-        lemma_words(
-            "width4_cancel", p=6, beta1=signs(rng, 1), beta2=signs(rng, 1)
-        ),
-        lemma_words("three_block", p=6),
-        lemma_words("generator_run", i=2, j=4),
-        lemma_words("run_pair", n=3),
-        lemma_words("eight_block", p=12, i=4),
-    ]
-    for lhs, rhs in pairs:
-        assert_same_closure(lhs, rhs)
-    with pytest.raises(ValueError):
-        lemma_words("nonsense")
-    assert "three_block" in WORD_FAMILIES
