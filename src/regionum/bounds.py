@@ -570,5 +570,5 @@ def verify_bound(spec: TorusLinkSpec) -> BoundResult:
 
 def incidence_rank_data(diagram: PlanarDiagram) -> tuple[int, int]:
     """(rank, nullity) of the region incidence system over GF(2)."""
-    rank = row_reduce(diagram.rows, diagram.crossings).rank
+    rank = row_reduce(diagram.rows).rank
     return rank, len(diagram.rows) - rank

@@ -205,21 +205,23 @@ def conjugate(w: BraidWord, letter: int) -> BraidWord:
 
 def _try_destabilize(w: BraidWord) -> BraidWord | None:
     """Remove a top or bottom generator that occurs exactly once in the
-    cyclic word (Markov destabilization, up to conjugation)."""
+    cyclic word (Markov destabilization, up to conjugation).
+
+    The top generator is tried first, then sigma_1, whose removal shifts
+    the remaining letters down by one.  The result is the rest of the word
+    read cyclically from just after the removed letter, so it is the same
+    for every rotation of ``w``.
+    """
     if w.strands < 2 or not w.letters:
         return None
-    top = w.strands - 1
-    occurrences = [k for k, x in enumerate(w.letters) if abs(x) == top]
-    if len(occurrences) == 1:
-        k = occurrences[0]
-        rest = w.letters[k + 1 :] + w.letters[:k]
-        return BraidWord(w.strands - 1, rest)
-    occurrences = [k for k, x in enumerate(w.letters) if abs(x) == 1]
-    if len(occurrences) == 1:
-        k = occurrences[0]
-        rest = w.letters[k + 1 :] + w.letters[:k]
-        shifted = tuple(x - 1 if x > 0 else x + 1 for x in rest)
-        return BraidWord(w.strands - 1, shifted)
+    for gen, shift in ((w.strands - 1, 0), (1, 1)):
+        occurrences = [k for k, x in enumerate(w.letters) if abs(x) == gen]
+        if len(occurrences) == 1:
+            k = occurrences[0]
+            rest = w.letters[k + 1 :] + w.letters[:k]
+            return BraidWord(
+                w.strands - 1, tuple(x - shift if x > 0 else x + shift for x in rest)
+            )
     return None
 
 
@@ -247,23 +249,19 @@ def split_unused(w: BraidWord) -> list[BraidWord]:
 def markov_simplify(w: BraidWord, conjugator_length: int = 2) -> BraidWord:
     """Greedy closure-preserving simplification.
 
-    Applies free reduction, cyclic shifts, bounded conjugation search and
-    Markov destabilization until no move shortens the word or removes a
-    strand.  The closure link type is preserved throughout; the result is
-    deterministic and idempotent.
+    Starting from the free reduction of ``w``, each round applies the first
+    move that fits: a Markov destabilization, a cyclic shift that cancels a
+    letter against the last one, or a conjugation by at most
+    ``conjugator_length`` letters that shortens the word or makes it
+    destabilizable.  It stops when no move fits, or after
+    ``MARKOV_MAX_ROUNDS`` rounds.  The closure link type is preserved
+    throughout and the result is deterministic.
     """
     best = free_reduce(w)
     for _ in range(MARKOV_MAX_ROUNDS):
-        changed = False
-        # Destabilize from any cyclic rotation.
-        for k in range(max(len(best), 1)):
-            rotated = cyclic_shift(best, k)
-            smaller = _try_destabilize(rotated)
-            if smaller is not None:
-                best = free_reduce(smaller)
-                changed = True
-                break
-        if changed:
+        smaller = _try_destabilize(best)
+        if smaller is not None:
+            best = free_reduce(smaller)
             continue
         # Cyclic shift enabling free cancellation across the seam.
         if best.letters and best.letters[0] == -best.letters[-1]:
@@ -291,7 +289,6 @@ def _conjugation_improvement(w: BraidWord, max_len: int) -> BraidWord | None:
             v = conjugate(v, letter)
         if len(v) < len(w):
             return v
-        for k in range(len(v)):
-            if _try_destabilize(cyclic_shift(v, k)) is not None and len(v) <= len(w):
-                return v
+        if len(v) <= len(w) and _try_destabilize(v) is not None:
+            return v
     return None

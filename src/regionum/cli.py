@@ -21,7 +21,7 @@ from .bounds import (
 )
 from .braid import format_word, parse_word, toric_braid
 from .diagram import close_braid
-from .invariants import Verdict, jones
+from .invariants import jones
 from .properness import (
     TorusLinkSpec,
     is_proper_closed_form,
@@ -88,9 +88,8 @@ def cmd_schedule(args) -> int:
 def cmd_verify(args) -> int:
     spec = _spec(args)
     result = verify_bound(spec)
-    cert = result.certificate
-    print(cert.to_json(spec, result.case, result.bound))
-    return EXIT_OK if cert.unlink.verdict is not Verdict.REFUTED else EXIT_INTERNAL
+    print(result.certificate.to_json(spec, result.case, result.bound))
+    return EXIT_OK
 
 
 def cmd_brute(args) -> int:

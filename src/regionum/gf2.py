@@ -8,11 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
+from typing import Iterator, Sequence
 
 
 @dataclasses.dataclass(frozen=True)
@@ -26,7 +22,6 @@ class Gf2System:
     reduced to zero, in input order.
     """
 
-    ncols: int
     reduced: tuple[int, ...]
     pivots: tuple[int, ...]
     combos: tuple[int, ...]
@@ -46,11 +41,8 @@ class Gf2System:
                 combo ^= cmb
         return combo if residue == 0 else None
 
-    def contains(self, target: int) -> bool:
-        return self.solve(target) is not None
 
-
-def row_reduce(rows: Sequence[int], ncols: int) -> Gf2System:
+def row_reduce(rows: Sequence[int]) -> Gf2System:
     reduced: list[int] = []
     pivots: list[int] = []
     combos: list[int] = []
@@ -67,14 +59,12 @@ def row_reduce(rows: Sequence[int], ncols: int) -> Gf2System:
             combos.append(combo)
         else:
             kernel.append(combo)
-    return Gf2System(
-        ncols, tuple(reduced), tuple(pivots), tuple(combos), tuple(kernel)
-    )
+    return Gf2System(tuple(reduced), tuple(pivots), tuple(combos), tuple(kernel))
 
 
 def solution_coset(rows: Sequence[int], target: int) -> Iterator[int]:
     """All row-selection bitmasks XORing to ``target`` (empty if none)."""
-    system = row_reduce(rows, max(r.bit_length() for r in rows) if rows else 0)
+    system = row_reduce(rows)
     particular = system.solve(target)
     if particular is None:
         return
@@ -89,7 +79,7 @@ def solution_coset(rows: Sequence[int], target: int) -> Iterator[int]:
 def min_weight_solution(rows: Sequence[int], target: int) -> int | None:
     best: int | None = None
     for sol in solution_coset(rows, target):
-        if best is None or popcount(sol) < popcount(best):
+        if best is None or sol.bit_count() < best.bit_count():
             best = sol
     return best
 
@@ -98,7 +88,7 @@ def solution_of_weight(
     rows: Sequence[int], target: int, weight: int
 ) -> int | None:
     for sol in solution_coset(rows, target):
-        if popcount(sol) == weight:
+        if sol.bit_count() == weight:
             return sol
     return None
 
@@ -106,7 +96,3 @@ def solution_of_weight(
 def select_bits(mask: int) -> list[int]:
     return [k for k in range(mask.bit_length()) if (mask >> k) & 1]
 
-
-def span_size(rows: Iterable[int]) -> int:
-    rows = list(rows)
-    return 1 << row_reduce(rows, max((r.bit_length() for r in rows), default=0)).rank

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import heapq
+import itertools
 from array import array
 from functools import lru_cache
 
@@ -29,6 +31,8 @@ from .braid import (
     BraidWord,
     BudgetExceeded,
     closure_components,
+    conjugate,
+    cyclic_shift,
     free_reduce,
     handle_reduce,
     markov_simplify,
@@ -281,12 +285,18 @@ class UnlinkCertificate:
     reduced: tuple[BraidWord, ...]  # final state of the reduction engine
 
 
+REDUCE_MAX_ROUNDS = 200  # handle-reduce/Markov rounds before the search
+SEARCH_MAX_NODES = 3000
+SEARCH_SLACK = 4  # letters a candidate may grow beyond the start word
+SEARCH_STEP_BUDGET = 500  # handle-reduction steps per search candidate
+
+
 def _reduce_to_unlink(w: BraidWord) -> tuple[bool, tuple[BraidWord, ...]]:
     """Try to reduce the closure to a disjoint union of trivial circles by
     alternating handle reduction with Markov simplification, falling back
     to a bounded best-first search over Markov moves per stuck piece."""
     pieces = [free_reduce(w)]
-    for _ in range(200):
+    for _ in range(REDUCE_MAX_ROUNDS):
         progressed = False
         next_pieces: list[BraidWord] = []
         for piece in pieces:
@@ -312,22 +322,12 @@ def _reduce_to_unlink(w: BraidWord) -> tuple[bool, tuple[BraidWord, ...]]:
     return False, tuple(residue)
 
 
-SEARCH_MAX_NODES = 3000
-SEARCH_SLACK = 4  # letters a candidate may grow beyond the start word
-SEARCH_STEP_BUDGET = 500  # handle-reduction steps per search candidate
-
-
 def _search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
     """Best-first search over closure-preserving moves (cyclic shifts,
     single-letter conjugations, each followed by handle reduction and
     greedy simplification), fewest strands and letters first.  True iff
     some state reaches the empty word; False is only "not found within
     the budget"."""
-    import heapq
-    import itertools
-
-    from .braid import cyclic_shift, conjugate
-
     start = markov_simplify(w)
     if not start.letters:
         return True

@@ -139,6 +139,35 @@ def test_npm2_schedule_certifies_for_p8(q):
     assert result.certificate.unlink.jones_matches_unlink is True
 
 
+@pytest.mark.parametrize(
+    "p,q,case",
+    [
+        (7, 9, TheoremCase.NP2_P_ODD),
+        (7, 12, TheoremCase.NPA_P_ODD_2MODA),
+        (8, 27, TheoremCase.NP3_P_EVEN_N_ODD),
+        (8, 9, TheoremCase.NP1_P_EVEN_N_ODD),
+        (8, 10, TheoremCase.NPA_EVEN_DIV),
+        (8, 15, TheoremCase.NPM1_P_N_EVEN),
+        (8, 16, TheoremCase.NP_P_N_EVEN),
+        (8, 17, TheoremCase.NP1_P_N_EVEN),
+        (8, 18, TheoremCase.NP2_P_N_EVEN),
+        (8, 19, TheoremCase.NPA_P_N_EVEN_DIV),
+        (8, 22, TheoremCase.NPM2_P_EVEN_N_ODD),
+        (9, 10, TheoremCase.NP1_P_ODD),
+        (9, 12, TheoremCase.NPA_P_ODD_DIV),
+        (9, 17, TheoremCase.NPM1_P_ODD),
+        (9, 18, TheoremCase.NP_P_ODD),
+    ],
+)
+def test_schedule_certifies_beyond_the_grid(p, q, case):
+    # the acceptance grid stops at p = 6; a schedule can go wrong only for
+    # larger p, as the NPM2 singles did at p = 8
+    result = verify_bound(TorusLinkSpec(p, q))
+    assert result.case is case
+    assert result.certificate.unlink.verdict is Verdict.CERTIFIED
+    assert result.certificate.unlink.jones_matches_unlink is True
+
+
 def test_incidence_rank_law():
     # region space rank c - d + 1, nullity d + 1, on the standard diagrams
     for p, q in [(2, 3), (3, 4), (2, 4), (3, 3), (4, 6), (4, 4)]:

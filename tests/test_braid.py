@@ -1,11 +1,16 @@
+import hashlib
+import json
 import random
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from regionum.braid import (
     BraidWord,
     BudgetExceeded,
+    _try_destabilize,
     closure_components,
     conjugate,
     cyclic_shift,
@@ -130,3 +135,41 @@ def test_markov_simplify_never_grows():
         assert len(s) <= len(w)
         assert s.strands <= w.strands
         assert closure_components(s) == closure_components(w)
+
+
+# sha256 over 300 seeded random words (p = 2..7, up to 4p letters) of each
+# word with its markov_simplify results for conjugator lengths 2 and 1.
+MARKOV_DIGEST = "d73e6fcd1a6dbc8a988893d8c06332515d1c92f11e68d28f87fbb8e44a07a987"
+
+
+def test_markov_simplify_golden_digest():
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    for _ in range(300):
+        p = rng.randint(2, 7)
+        n = rng.randint(0, 4 * p)
+        w = BraidWord(
+            p, tuple(rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(n))
+        )
+        a = markov_simplify(w)
+        b = markov_simplify(w, conjugator_length=1)
+        h.update(
+            json.dumps(
+                [w.strands, w.letters, a.strands, a.letters, b.strands, b.letters]
+            ).encode()
+        )
+    assert h.hexdigest() == MARKOV_DIGEST
+
+
+@st.composite
+def braid_words(draw):
+    p = draw(st.integers(2, 8))
+    letter = st.sampled_from([x for x in range(1 - p, p) if x])
+    return BraidWord(p, tuple(draw(st.lists(letter, max_size=4 * p))))
+
+
+@given(braid_words())
+def test_try_destabilize_ignores_rotation(w):
+    expected = _try_destabilize(w)
+    for k in range(len(w)):
+        assert _try_destabilize(cyclic_shift(w, k)) == expected

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from regionum import bounds
 from regionum.cli import main
+from regionum.invariants import UnlinkCertificate, Verdict
 
 
 def run(capsys, *argv):
@@ -52,6 +54,19 @@ def test_verify_emits_json_certificate(capsys):
     assert payload["bound"] == 3
     assert len(payload["regions"]) == 3
     assert payload["verdict"] == "certified"
+
+
+def test_refuted_target_exits_2(capsys, monkeypatch):
+    # verify_bound raises on a Refuted target and main reports it as an
+    # internal inconsistency
+    refuted = UnlinkCertificate(Verdict.REFUTED, 1, False, ())
+    monkeypatch.setattr(bounds, "certify_unlink", lambda w: refuted)
+    code, out, err = run(capsys, "verify", "3", "4")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal inconsistency:")
 
 
 def test_brute_json(capsys):

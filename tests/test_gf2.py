@@ -3,12 +3,10 @@ from itertools import combinations
 
 from regionum.gf2 import (
     min_weight_solution,
-    popcount,
     row_reduce,
     select_bits,
     solution_coset,
     solution_of_weight,
-    span_size,
 )
 
 
@@ -23,8 +21,7 @@ def brute_span(rows):
     return out
 
 
-def test_popcount_and_select_bits():
-    assert popcount(0b1011) == 3
+def test_select_bits():
     assert select_bits(0b10100) == [2, 4]
 
 
@@ -33,9 +30,7 @@ def test_row_reduce_rank_matches_span():
     for _ in range(20):
         n = rng.randint(1, 8)
         rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 8))]
-        sys_ = row_reduce(rows, n)
-        assert 2 ** len(sys_.reduced) == len(brute_span(rows))
-        assert span_size(rows) == len(brute_span(rows))
+        assert 2 ** row_reduce(rows).rank == len(brute_span(rows))
 
 
 def test_contains_agrees_with_brute_span():
@@ -43,10 +38,10 @@ def test_contains_agrees_with_brute_span():
     for _ in range(20):
         n = rng.randint(1, 7)
         rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
-        sys_ = row_reduce(rows, n)
+        sys_ = row_reduce(rows)
         span = brute_span(rows)
         for v in range(1 << n):
-            assert sys_.contains(v) == (v in span)
+            assert (sys_.solve(v) is not None) == (v in span)
 
 
 def test_nullspace_dimension():
@@ -54,7 +49,7 @@ def test_nullspace_dimension():
     for _ in range(20):
         n = rng.randint(1, 7)
         rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
-        system = row_reduce(rows, n)
+        system = row_reduce(rows)
         assert len(system.kernel) == len(rows) - system.rank
         for mask in system.kernel:
             v = 0
@@ -87,7 +82,7 @@ def test_min_weight_and_exact_weight_solutions():
     rows = [0b0011, 0b0110, 0b1100]
     target = 0b1111
     best = min_weight_solution(rows, target)
-    assert best is not None and popcount(best) == 2
+    assert best is not None and best.bit_count() == 2
     assert solution_of_weight(rows, target, 2) is not None
     assert solution_of_weight(rows, target, 3) is None
     assert min_weight_solution(rows, 0b0001) is None
