@@ -9,6 +9,7 @@ A braid word is a sequence of nonzero integers.  The letter ``k`` with
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Iterable, Sequence
 
 HANDLE_BUDGET = 10**6  # handle-reduction steps before BudgetExceeded
@@ -28,14 +29,14 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        for x in self.letters:
-            if x == 0 or abs(x) >= self.strands:
-                raise ValueError(
-                    f"letter {x} out of range for {self.strands} strands"
-                )
+        p = self.strands
+        if letters and (0 in letters or max(letters) >= p or min(letters) <= -p):
+            x = next(x for x in letters if x == 0 or abs(x) >= p)
+            raise ValueError(f"letter {x} out of range for {p} strands")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -116,14 +117,16 @@ def _free_reduce_list(letters: Iterable[int]) -> list[int]:
     return stack
 
 
-def _find_handle(letters: Sequence[int]) -> tuple[int, int] | None:
-    """Leftmost-closing handle (s, t): letters[s] = -letters[t] and every
-    letter strictly between has index > |letters[t]|.
+def _find_handle(letters: Sequence[int], start: int = 0) -> tuple[int, int] | None:
+    """Leftmost-closing handle (s, t) with t >= start: letters[s] =
+    -letters[t] and every letter strictly between has index > |letters[t]|.
 
     Scanning for the smallest closing position makes the found handle
-    innermost, so the rewrite below is always permitted.
+    innermost, so the rewrite below is always permitted.  The caller
+    passes a ``start`` before which no handle closes.
     """
-    for t, x in enumerate(letters):
+    for t in range(start, len(letters)):
+        x = letters[t]
         i = abs(x)
         for s in range(t - 1, -1, -1):
             j = abs(letters[s])
@@ -143,11 +146,18 @@ def handle_reduce(w: BraidWord, budget: int = HANDLE_BUDGET) -> BraidWord:
     the result is empty iff ``w`` is the identity braid.  Raises
     :class:`BudgetExceeded` when the step budget runs out (never a wrong
     answer).
+
+    The word is kept freely reduced.  After a rewrite at (s, t), only the
+    new letters from s on are pushed onto a stack that holds the prefix
+    letters[:s].  Below the lowest height that stack reaches, the word is
+    unchanged, and no handle closes there (the old word's leftmost handle
+    closed at t), so the next scan starts at that height.
     """
     letters = _free_reduce_list(w.letters)
+    start = 0
     steps = 0
     while True:
-        found = _find_handle(letters)
+        found = _find_handle(letters, start)
         if found is None:
             return BraidWord(w.strands, tuple(letters))
         steps += 1
@@ -165,7 +175,23 @@ def handle_reduce(w: BraidWord, budget: int = HANDLE_BUDGET) -> BraidWord:
                 replacement.extend([-e * (i + 1), (i if x > 0 else -i), e * (i + 1)])
             else:
                 replacement.append(x)
-        letters = _free_reduce_list(letters[:s] + replacement + letters[t + 1 :])
+        suffix = letters[t + 1 :]
+        del letters[s:]
+        start = s
+        for x in replacement:
+            if letters and letters[-1] == -x:
+                letters.pop()
+                start = min(start, len(letters))
+            else:
+                letters.append(x)
+        # The suffix is freely reduced: once a letter of it stays, so do
+        # all that follow.
+        k = 0
+        while k < len(suffix) and letters and letters[-1] == -suffix[k]:
+            letters.pop()
+            k += 1
+        start = min(start, len(letters))
+        letters += suffix[k:]
 
 
 def is_trivial_braid(w: BraidWord) -> bool:
@@ -191,18 +217,6 @@ def closure_components(w: BraidWord) -> int:
     return cycles
 
 
-def cyclic_shift(w: BraidWord, k: int = 1) -> BraidWord:
-    if not w.letters:
-        return w
-    k %= len(w.letters)
-    return BraidWord(w.strands, w.letters[k:] + w.letters[:k])
-
-
-def conjugate(w: BraidWord, letter: int) -> BraidWord:
-    """sigma^{-1} w sigma for the given letter (closure-preserving)."""
-    return free_reduce(BraidWord(w.strands, (-letter,) + w.letters + (letter,)))
-
-
 def _try_destabilize(w: BraidWord) -> BraidWord | None:
     """Remove a top or bottom generator that occurs exactly once in the
     cyclic word (Markov destabilization, up to conjugation).
@@ -212,16 +226,21 @@ def _try_destabilize(w: BraidWord) -> BraidWord | None:
     read cyclically from just after the removed letter, so it is the same
     for every rotation of ``w``.
     """
-    if w.strands < 2 or not w.letters:
-        return None
-    for gen, shift in ((w.strands - 1, 0), (1, 1)):
-        occurrences = [k for k, x in enumerate(w.letters) if abs(x) == gen]
-        if len(occurrences) == 1:
-            k = occurrences[0]
-            rest = w.letters[k + 1 :] + w.letters[:k]
-            return BraidWord(
-                w.strands - 1, tuple(x - shift if x > 0 else x + shift for x in rest)
-            )
+    smaller = _destabilize(w.strands, w.letters)
+    return None if smaller is None else BraidWord(*smaller)
+
+
+def _destabilize(
+    strands: int, letters: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]] | None:
+    """Letter-level core of :func:`_try_destabilize`."""
+    for gen in (strands - 1, 1):
+        if letters.count(gen) + letters.count(-gen) == 1:
+            k = letters.index(gen) if gen in letters else letters.index(-gen)
+            rest = letters[k + 1 :] + letters[:k]
+            if gen != strands - 1:  # sigma_1 goes: shift the rest down
+                rest = tuple(x - 1 if x > 0 else x + 1 for x in rest)
+            return strands - 1, rest
     return None
 
 
@@ -257,38 +276,52 @@ def markov_simplify(w: BraidWord, conjugator_length: int = 2) -> BraidWord:
     ``MARKOV_MAX_ROUNDS`` rounds.  The closure link type is preserved
     throughout and the result is deterministic.
     """
-    best = free_reduce(w)
+    strands = w.strands
+    v = tuple(_free_reduce_list(w.letters))
     for _ in range(MARKOV_MAX_ROUNDS):
-        smaller = _try_destabilize(best)
+        smaller = _destabilize(strands, v)
         if smaller is not None:
-            best = free_reduce(smaller)
+            strands, rest = smaller
+            v = tuple(_free_reduce_list(rest))
             continue
-        # Cyclic shift enabling free cancellation across the seam.
-        if best.letters and best.letters[0] == -best.letters[-1]:
-            best = free_reduce(cyclic_shift(best, 1))
+        # Cyclic shift enabling free cancellation across the seam: moving
+        # v[0] to the end cancels it against v[-1].
+        if v and v[0] == -v[-1]:
+            v = v[1:-1]
             continue
         # Bounded conjugation search for a strictly shorter representative
         # or one that admits a destabilization.
-        found = _conjugation_improvement(best, conjugator_length)
+        found = _conjugation_improvement(strands, v, conjugator_length)
         if found is not None:
-            best = found
+            v = found
             continue
         break
-    return best
+    return BraidWord(strands, v)
 
 
-def _conjugation_improvement(w: BraidWord, max_len: int) -> BraidWord | None:
-    gens = list(range(1, w.strands))
-    singles = gens + [-g for g in gens]
-    candidates: list[tuple[int, ...]] = [(s,) for s in singles]
-    if max_len >= 2:
-        candidates += [(s, t) for s in singles for t in singles]
-    for conj in candidates:
-        v = w
-        for letter in conj:
-            v = conjugate(v, letter)
-        if len(v) < len(w):
-            return v
-        if len(v) <= len(w) and _try_destabilize(v) is not None:
+def _conjugate_reduced(v: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """Free reduction of a^-1 v a for a freely reduced ``v``: only the two
+    new letters can cancel, each against its end of ``v``."""
+    if not v:
+        return ()
+    if v[0] == a:
+        return v[1:-1] if v[-1] == -a else v[1:] + (a,)
+    return (-a,) + v[:-1] if v[-1] == -a else (-a,) + v + (a,)
+
+
+def _conjugation_improvement(
+    strands: int, w: tuple[int, ...], max_len: int
+) -> tuple[int, ...] | None:
+    """First conjugate of the freely reduced, non-destabilizable ``w`` by
+    one letter, then by two, that is shorter than ``w`` or no longer and
+    destabilizable.  Pairs (s, -s) are skipped: they give back ``w``."""
+    gens = range(1, strands)
+    singles = [*gens, *(-g for g in gens)]
+    once = [_conjugate_reduced(w, s) for s in singles]
+    pairs = zip(singles, once) if max_len >= 2 else ()
+    twice = (_conjugate_reduced(v, t) for s, v in pairs for t in singles if t != -s)
+    n = len(w)
+    for v in itertools.chain(once, twice):
+        if len(v) < n or (len(v) == n and _destabilize(strands, v) is not None):
             return v
     return None

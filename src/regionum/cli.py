@@ -8,6 +8,7 @@ numeric output is exact.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -68,8 +69,11 @@ def cmd_bound(args) -> int:
     for r in results:
         suffix = "" if r.constructible else " (formula only)"
         print(f"{r.bound}  [{r.case.value}]{suffix}")
+    best = results[0]
     extra = " (exact)" if spec.p == 2 else ""
-    print(f"minimum: {results[0].bound}{extra}")
+    if not best.constructible:
+        extra += " (formula only)"
+    print(f"minimum: {best.bound}{extra}")
     return EXIT_OK
 
 
@@ -149,19 +153,24 @@ def cmd_table(args) -> int:
         for p in range(args.p_min, args.p_max + 1)
         for q in range(args.q_min, args.q_max + 1)
     ]
-    print("p,q,components,proper,min_bound,case")
+    # The case names contain commas, so fields are quoted as CSV needs.
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(
+        ["p", "q", "components", "proper", "min_bound", "case", "constructible"]
+    )
     for spec in specs:
-        p, q = spec.p, spec.q
+        row = [spec.p, spec.q, spec.components]
         try:
             results = bound(spec)
         except NotProperError:
-            print(f"{p},{q},{spec.components},no,,")
+            out.writerow(row + ["no", "", "", ""])
             continue
         if results:
             best = results[0]
-            print(f"{p},{q},{spec.components},yes,{best.bound},{best.case.value}")
+            yes_no = "yes" if best.constructible else "no"
+            out.writerow(row + ["yes", best.bound, best.case.value, yes_no])
         else:
-            print(f"{p},{q},{spec.components},yes,,")
+            out.writerow(row + ["yes", "", "", ""])
     return EXIT_OK
 
 

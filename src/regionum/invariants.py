@@ -30,9 +30,8 @@ from functools import lru_cache
 from .braid import (
     BraidWord,
     BudgetExceeded,
+    _conjugate_reduced,
     closure_components,
-    conjugate,
-    cyclic_shift,
     free_reduce,
     handle_reduce,
     markov_simplify,
@@ -327,26 +326,36 @@ def _search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
     single-letter conjugations, each followed by handle reduction and
     greedy simplification), fewest strands and letters first.  True iff
     some state reaches the empty word; False is only "not found within
-    the budget"."""
+    the budget".
+
+    Different states often share a neighbour.  A neighbour met a second
+    time is skipped: its reduction, split search and push would all
+    repeat the first time's, and pushing a state twice only adds a stale
+    heap entry."""
     start = markov_simplify(w)
     if not start.letters:
         return True
     seen: set[tuple[int, tuple[int, ...]]] = set()
+    tried: set[tuple[int, tuple[int, ...]]] = set()
     tick = itertools.count()
     heap = [((start.strands, len(start.letters)), next(tick), start)]
     nodes = 0
     while heap and nodes < max_nodes:
         _, _, cur = heapq.heappop(heap)
-        key = (cur.strands, cur.letters)
+        p, letters = key = (cur.strands, cur.letters)
         if key in seen:
             continue
         seen.add(key)
         nodes += 1
-        neighbours = [cyclic_shift(cur, k) for k in range(1, len(cur.letters))]
-        for g in range(1, cur.strands):
-            neighbours.append(conjugate(cur, g))
-            neighbours.append(conjugate(cur, -g))
-        for cand in neighbours:
+        neighbours = [letters[k:] + letters[:k] for k in range(1, len(letters))]
+        for g in range(1, p):
+            neighbours.append(_conjugate_reduced(letters, g))
+            neighbours.append(_conjugate_reduced(letters, -g))
+        for raw in neighbours:
+            if (p, raw) in tried:
+                continue
+            tried.add((p, raw))
+            cand = BraidWord(p, raw)
             try:
                 cand = handle_reduce(cand, budget=SEARCH_STEP_BUDGET)
             except BudgetExceeded:

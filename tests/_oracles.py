@@ -9,13 +9,28 @@ positive crossing, mirrored at a negative one).
 packed-integer one: matchings as tuples, coefficients as ``LaurentPoly``
 dicts.  It is slow but direct, and reaches words the 2^c state sum
 cannot.
+
+``handle_reduce``, ``markov_simplify`` and their helpers below
+(``cyclic_shift`` and ``conjugate`` among them) are the reduction engine
+as it was before it moved onto letter tuples: it rebuilds a
+``BraidWord`` and free-reduces the whole word after every move.  The
+package's engine must give the same words and raise ``BudgetExceeded``
+on the same inputs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
-from regionum.braid import BraidWord
+from regionum.braid import (
+    HANDLE_BUDGET,
+    MARKOV_MAX_ROUNDS,
+    BraidWord,
+    BudgetExceeded,
+    _free_reduce_list,
+    free_reduce,
+)
 from regionum.laurent import LOOP, LaurentPoly
 
 
@@ -138,3 +153,137 @@ def _closure_loops(m: Matching, p: int) -> int:
             seen[j] = True
             j = j + p if j < p else j - p  # trace closure arc
     return loops
+
+
+def cyclic_shift(w: BraidWord, k: int = 1) -> BraidWord:
+    if not w.letters:
+        return w
+    k %= len(w.letters)
+    return BraidWord(w.strands, w.letters[k:] + w.letters[:k])
+
+
+def conjugate(w: BraidWord, letter: int) -> BraidWord:
+    """sigma^{-1} w sigma for the given letter (closure-preserving)."""
+    return free_reduce(BraidWord(w.strands, (-letter,) + w.letters + (letter,)))
+
+
+def _find_handle(letters: Sequence[int]) -> tuple[int, int] | None:
+    """Leftmost-closing handle (s, t): letters[s] = -letters[t] and every
+    letter strictly between has index > |letters[t]|.
+
+    Scanning for the smallest closing position makes the found handle
+    innermost, so the rewrite below is always permitted.
+    """
+    for t, x in enumerate(letters):
+        i = abs(x)
+        for s in range(t - 1, -1, -1):
+            j = abs(letters[s])
+            if j < i:
+                break
+            if j == i:
+                if letters[s] == -x:
+                    return s, t
+                break
+    return None
+
+
+def handle_reduce(w: BraidWord, budget: int = HANDLE_BUDGET) -> BraidWord:
+    """Dehornoy handle reduction.
+
+    Returns a handle-free word representing the same braid-group element;
+    the result is empty iff ``w`` is the identity braid.  Raises
+    :class:`BudgetExceeded` when the step budget runs out (never a wrong
+    answer).
+    """
+    letters = _free_reduce_list(w.letters)
+    steps = 0
+    while True:
+        found = _find_handle(letters)
+        if found is None:
+            return BraidWord(w.strands, tuple(letters))
+        steps += 1
+        if steps > budget:
+            raise BudgetExceeded(
+                f"handle reduction exceeded {budget} steps on a word of "
+                f"length {len(w)}"
+            )
+        s, t = found
+        e = 1 if letters[s] > 0 else -1
+        i = abs(letters[s])
+        replacement: list[int] = []
+        for x in letters[s + 1 : t]:
+            if abs(x) == i + 1:
+                replacement.extend([-e * (i + 1), (i if x > 0 else -i), e * (i + 1)])
+            else:
+                replacement.append(x)
+        letters = _free_reduce_list(letters[:s] + replacement + letters[t + 1 :])
+
+
+def _try_destabilize(w: BraidWord) -> BraidWord | None:
+    """Remove a top or bottom generator that occurs exactly once in the
+    cyclic word (Markov destabilization, up to conjugation).
+
+    The top generator is tried first, then sigma_1, whose removal shifts
+    the remaining letters down by one.  The result is the rest of the word
+    read cyclically from just after the removed letter, so it is the same
+    for every rotation of ``w``.
+    """
+    if w.strands < 2 or not w.letters:
+        return None
+    for gen, shift in ((w.strands - 1, 0), (1, 1)):
+        occurrences = [k for k, x in enumerate(w.letters) if abs(x) == gen]
+        if len(occurrences) == 1:
+            k = occurrences[0]
+            rest = w.letters[k + 1 :] + w.letters[:k]
+            return BraidWord(
+                w.strands - 1, tuple(x - shift if x > 0 else x + shift for x in rest)
+            )
+    return None
+
+
+def markov_simplify(w: BraidWord, conjugator_length: int = 2) -> BraidWord:
+    """Greedy closure-preserving simplification.
+
+    Starting from the free reduction of ``w``, each round applies the first
+    move that fits: a Markov destabilization, a cyclic shift that cancels a
+    letter against the last one, or a conjugation by at most
+    ``conjugator_length`` letters that shortens the word or makes it
+    destabilizable.  It stops when no move fits, or after
+    ``MARKOV_MAX_ROUNDS`` rounds.  The closure link type is preserved
+    throughout and the result is deterministic.
+    """
+    best = free_reduce(w)
+    for _ in range(MARKOV_MAX_ROUNDS):
+        smaller = _try_destabilize(best)
+        if smaller is not None:
+            best = free_reduce(smaller)
+            continue
+        # Cyclic shift enabling free cancellation across the seam.
+        if best.letters and best.letters[0] == -best.letters[-1]:
+            best = free_reduce(cyclic_shift(best, 1))
+            continue
+        # Bounded conjugation search for a strictly shorter representative
+        # or one that admits a destabilization.
+        found = _conjugation_improvement(best, conjugator_length)
+        if found is not None:
+            best = found
+            continue
+        break
+    return best
+
+
+def _conjugation_improvement(w: BraidWord, max_len: int) -> BraidWord | None:
+    gens = list(range(1, w.strands))
+    singles = gens + [-g for g in gens]
+    candidates: list[tuple[int, ...]] = [(s,) for s in singles]
+    if max_len >= 2:
+        candidates += [(s, t) for s in singles for t in singles]
+    for conj in candidates:
+        v = w
+        for letter in conj:
+            v = conjugate(v, letter)
+        if len(v) < len(w):
+            return v
+        if len(v) <= len(w) and _try_destabilize(v) is not None:
+            return v
+    return None

@@ -6,15 +6,9 @@ the run reads as a checklist.
 import random
 import time
 
-from _oracles import naive_bracket
+from _oracles import conjugate, cyclic_shift, naive_bracket
 from regionum.bounds import bound, verify_bound
-from regionum.braid import (
-    BraidWord,
-    conjugate,
-    cyclic_shift,
-    handle_reduce,
-    toric_braid,
-)
+from regionum.braid import BraidWord, handle_reduce, toric_braid
 from regionum.diagram import close_braid
 from regionum.invariants import Verdict, jones, kauffman_bracket, unlink_jones
 from regionum.properness import (

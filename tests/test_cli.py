@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -106,9 +107,23 @@ def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "2", "3", "2", "5")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "p,q,components,proper,min_bound,case"
+    assert lines[0] == "p,q,components,proper,min_bound,case,constructible"
     assert len(lines) == 1 + 2 * 4
-    assert any(",no,," in line for line in lines)
+    assert "2,2,2,no,,," in lines
+    rows = list(csv.reader(lines))
+    assert all(len(row) == 7 for row in rows)
+    assert ["3", "4", "1", "yes", "1", "q = np+1, p odd", "yes"] in rows
+
+
+def test_formula_only_minimum_is_labelled(capsys):
+    code, out, _ = run(capsys, "bound", "7", "11")
+    assert code == 0
+    assert out.splitlines()[-1] == "minimum: 10 (formula only)"
+    code, out, _ = run(capsys, "bound", "7", "12")
+    assert out.splitlines()[-1] == "minimum: 10"
+    code, out, _ = run(capsys, "table", "7", "7", "11", "12")
+    rows = list(csv.reader(out.splitlines()))
+    assert [row[-1] for row in rows] == ["constructible", "no", "yes"]
 
 
 def test_unknown_command_exits_with_argparse_error(capsys):

@@ -1,11 +1,13 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from _oracles import dict_bracket, naive_bracket
+from _oracles import conjugate, cyclic_shift, dict_bracket, naive_bracket
 from regionum import invariants
 from regionum.bounds import bound, target_word
-from regionum.braid import BraidWord, conjugate, cyclic_shift, parse_word, toric_braid
+from regionum.braid import BraidWord, parse_word, toric_braid
 from regionum.invariants import (
     MAX_STRANDS,
     Verdict,
@@ -181,6 +183,25 @@ def test_certify_unlink_handles_search_fallback_case():
     # dissolves only through the move search, not greedy reduction
     cert = certify_unlink(three_block_word(4))
     assert cert.verdict is Verdict.CERTIFIED
+
+
+# sha256 over 150 seeded random words (p = 3..6, up to 3p letters) of
+# each word with whether a 50-node move search dissolves it.
+SEARCH_DIGEST = "2a14600fd09ae9fe2b138d275ac436f1c8cc89080b0b57f23f4c92eb0a3a43fe"
+
+
+def test_search_dissolves_golden_digest():
+    rng = random.Random(20261019)
+    h = hashlib.sha256()
+    for _ in range(150):
+        p = rng.randint(3, 6)
+        n = rng.randint(0, 3 * p)
+        w = BraidWord(
+            p, tuple(rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(n))
+        )
+        found = invariants._search_dissolves(w, max_nodes=50)
+        h.update(json.dumps([found, w.strands, w.letters]).encode())
+    assert h.hexdigest() == SEARCH_DIGEST
 
 
 def test_certify_multi_component_unlink():
