@@ -9,11 +9,9 @@ A braid word is a sequence of nonzero integers.  The letter ``k`` with
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Iterable, Sequence
 
 HANDLE_BUDGET = 10**6  # handle-reduction steps before BudgetExceeded
-MARKOV_MAX_ROUNDS = 10_000  # rounds of markov_simplify before it stops
 
 
 class BudgetExceeded(Exception):
@@ -217,23 +215,13 @@ def closure_components(w: BraidWord) -> int:
     return cycles
 
 
-def _try_destabilize(w: BraidWord) -> BraidWord | None:
-    """Remove a top or bottom generator that occurs exactly once in the
-    cyclic word (Markov destabilization, up to conjugation).
-
-    The top generator is tried first, then sigma_1, whose removal shifts
-    the remaining letters down by one.  The result is the rest of the word
-    read cyclically from just after the removed letter, so it is the same
-    for every rotation of ``w``.
-    """
-    smaller = _destabilize(w.strands, w.letters)
-    return None if smaller is None else BraidWord(*smaller)
-
-
 def _destabilize(
     strands: int, letters: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Letter-level core of :func:`_try_destabilize`."""
+    """Markov destabilization, up to conjugation: remove the top generator,
+    else sigma_1 (shifting the rest down), if it occurs exactly once.  The
+    result is the new strand count and the rest of the word read cyclically
+    from just after it, so it is the same for every rotation of ``letters``."""
     for gen in (strands - 1, 1):
         if letters.count(gen) + letters.count(-gen) == 1:
             k = letters.index(gen) if gen in letters else letters.index(-gen)
@@ -265,38 +253,32 @@ def split_unused(w: BraidWord) -> list[BraidWord]:
     return pieces
 
 
-def markov_simplify(w: BraidWord, conjugator_length: int = 2) -> BraidWord:
-    """Greedy closure-preserving simplification.
+def markov_simplify(w: BraidWord) -> BraidWord:
+    """Greedy closure-preserving simplification of the free reduction ``v``
+    of ``w``: destabilize (:func:`_destabilize`), else cancel ``v[0]``
+    against ``v[-1] == -v[0]``, until neither fits.  Each move removes a
+    letter, so at most ``len(w)`` moves apply.
 
-    Starting from the free reduction of ``w``, each round applies the first
-    move that fits: a Markov destabilization, a cyclic shift that cancels a
-    letter against the last one, or a conjugation by at most
-    ``conjugator_length`` letters that shortens the word or makes it
-    destabilizable.  It stops when no move fits, or after
-    ``MARKOV_MAX_ROUNDS`` rounds.  The closure link type is preserved
-    throughout and the result is deterministic.
+    Conjugation by one or two letters could never do more.  When both moves
+    fail, ``v`` is freely reduced with ``v[0] != -v[-1]``, so every rotation
+    is freely reduced too, and none destabilizes (that test counts letters).
+    Conjugating by a letter ``a`` then cancels at one end, which gives a
+    rotation, or at neither, which adds two letters; both ends would need
+    ``v[0] == a == -v[-1]``.  A second letter ``t`` acts the same way on a
+    rotation, and on ``(-s, ..., s)`` it adds two more unless ``t == -s``,
+    which gives back ``v``.
     """
     strands = w.strands
     v = tuple(_free_reduce_list(w.letters))
-    for _ in range(MARKOV_MAX_ROUNDS):
+    while True:
         smaller = _destabilize(strands, v)
         if smaller is not None:
             strands, rest = smaller
             v = tuple(_free_reduce_list(rest))
-            continue
-        # Cyclic shift enabling free cancellation across the seam: moving
-        # v[0] to the end cancels it against v[-1].
-        if v and v[0] == -v[-1]:
+        elif v and v[0] == -v[-1]:
             v = v[1:-1]
-            continue
-        # Bounded conjugation search for a strictly shorter representative
-        # or one that admits a destabilization.
-        found = _conjugation_improvement(strands, v, conjugator_length)
-        if found is not None:
-            v = found
-            continue
-        break
-    return BraidWord(strands, v)
+        else:
+            return BraidWord(strands, v)
 
 
 def _conjugate_reduced(v: tuple[int, ...], a: int) -> tuple[int, ...]:
@@ -307,21 +289,3 @@ def _conjugate_reduced(v: tuple[int, ...], a: int) -> tuple[int, ...]:
     if v[0] == a:
         return v[1:-1] if v[-1] == -a else v[1:] + (a,)
     return (-a,) + v[:-1] if v[-1] == -a else (-a,) + v + (a,)
-
-
-def _conjugation_improvement(
-    strands: int, w: tuple[int, ...], max_len: int
-) -> tuple[int, ...] | None:
-    """First conjugate of the freely reduced, non-destabilizable ``w`` by
-    one letter, then by two, that is shorter than ``w`` or no longer and
-    destabilizable.  Pairs (s, -s) are skipped: they give back ``w``."""
-    gens = range(1, strands)
-    singles = [*gens, *(-g for g in gens)]
-    once = [_conjugate_reduced(w, s) for s in singles]
-    pairs = zip(singles, once) if max_len >= 2 else ()
-    twice = (_conjugate_reduced(v, t) for s, v in pairs for t in singles if t != -s)
-    n = len(w)
-    for v in itertools.chain(once, twice):
-        if len(v) < n or (len(v) == n and _destabilize(strands, v) is not None):
-            return v
-    return None

@@ -42,6 +42,7 @@ def _spec(args) -> TorusLinkSpec:
 
 
 def cmd_proper(args) -> int:
+    spec = _spec(args)
     closed = is_proper_closed_form(args.p, args.q)
     power = is_proper_power_form(args.p, args.q)
     oracle = is_proper_diagram_oracle(args.p, args.q)
@@ -52,7 +53,6 @@ def cmd_proper(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERNAL
-    spec = _spec(args)
     if closed:
         kind = "knot" if spec.is_knot else f"{spec.components}-component link"
         print(f"proper ({kind})")

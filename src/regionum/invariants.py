@@ -360,7 +360,7 @@ def _search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
                 cand = handle_reduce(cand, budget=SEARCH_STEP_BUDGET)
             except BudgetExceeded:
                 pass
-            cand = markov_simplify(cand, conjugator_length=1)
+            cand = markov_simplify(cand)
             if not cand.letters:
                 return True
             parts = split_unused(cand)

@@ -25,13 +25,14 @@ from typing import Sequence
 
 from regionum.braid import (
     HANDLE_BUDGET,
-    MARKOV_MAX_ROUNDS,
     BraidWord,
     BudgetExceeded,
     _free_reduce_list,
     free_reduce,
 )
 from regionum.laurent import LOOP, LaurentPoly
+
+MARKOV_MAX_ROUNDS = 10_000  # rounds of markov_simplify before it stops
 
 
 class _UnionFind:

@@ -145,6 +145,7 @@ def test_unknown_command_exits_with_argparse_error(capsys):
         (["probe", "5", "6"], None),
         (["jones", "1", "--strands", "13"], None),
         (["brute", "2", "5", "--max-k", "-5"], None),
+        (["proper", "0", "0"], None),
     ],
 )
 def test_bad_input_is_refused_in_one_line(capsys, argv, _):

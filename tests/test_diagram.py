@@ -12,6 +12,7 @@ from regionum.diagram import (
     expected_pairwise_crossings,
     toric_diagram,
 )
+from regionum.gf2 import select_bits, solution_coset
 
 
 def random_connected_word(rng, p, c):
@@ -69,9 +70,32 @@ def test_euler_face_count():
         assert len(d.regions) == d.crossings + 2
 
 
+def _random_diagrams(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.randint(2, 5)
+        yield rng, close_braid(random_connected_word(rng, p, rng.randint(p, 12)))
+
+
 def test_region_ids_are_a_bijection():
-    d = toric_diagram(3, 4)
-    assert sorted(r.id for r in d.regions) == list(range(1, len(d.regions) + 1))
+    diagrams = [toric_diagram(3, 4)] + [d for _, d in _random_diagrams(13, 40)]
+    for d in diagrams:
+        assert sorted(r.id for r in d.regions) == list(range(1, d.crossings + 3))
+
+
+def test_gf2_solutions_realize_their_targets():
+    for rng, d in _random_diagrams(17, 40):
+        regions = len(d.regions)
+        chosen = rng.sample(range(1, regions + 1), rng.randint(0, regions))
+        target = 0
+        for r in chosen:
+            target ^= d.rows[r - 1]
+        expected = d.region_crossing_changes(chosen).word()
+        solutions = list(solution_coset(d.rows, target))
+        assert sum(1 << (r - 1) for r in chosen) in solutions
+        for sol in solutions:
+            ids = [k + 1 for k in select_bits(sol)]
+            assert d.region_crossing_changes(ids).word() == expected
 
 
 def test_total_corner_incidence():
