@@ -262,6 +262,76 @@ def jones(w: BraidWord) -> LaurentPoly:
     return factor * bracket
 
 
+BURAU_PRIME = (1 << 61) - 1
+BURAU_T = 0x5DEECE66D  # evaluation point t0, a unit modulo BURAU_PRIME
+_BURAU_T_INV = pow(BURAU_T, -1, BURAU_PRIME)
+# Weights of columns i-1, i, i+1 in the new column i, by letter sign.
+_BURAU_WEIGHTS = {
+    1: (BURAU_T, BURAU_PRIME - BURAU_T, 1),
+    -1: (1, BURAU_PRIME - _BURAU_T_INV, _BURAU_T_INV),
+}
+
+
+def burau_alexander(w: BraidWord) -> int:
+    """det(I - B(w)) at t0 = ``BURAU_T`` modulo ``BURAU_PRIME``, where B is
+    the reduced Burau matrix of ``w`` on ``strands - 1`` coordinates.
+
+    Over Z[t, t^-1] this determinant is t^k * (1 + t + ... + t^(p-1))
+    times the Conway-normalized Alexander polynomial of the closure, with
+    k = (writhe - p + 1) / 2 for a knot (Birman, *Braids, Links, and
+    Mapping Class Groups*, 1974, Thm 3.11); it is 0 for a split link.
+    ``sigma_i`` sends column i of the running product X to
+    t * X[i-1] - t * X[i] + X[i+1], and ``sigma_i^-1`` to
+    X[i-1] - t^-1 * X[i] + t^-1 * X[i+1]; every other column stays.
+    Columns are 1-based, and columns 0 and p stay zero.
+    """
+    prime = BURAU_PRIME
+    n = w.strands - 1
+    cols = [[int(r == c) for r in range(n)] for c in range(-1, n + 1)]
+    for x in w.letters:
+        i = abs(x)
+        left, mid, right = _BURAU_WEIGHTS[1 if x > 0 else -1]
+        cols[i] = [
+            (left * a + mid * b + right * c) % prime
+            for a, b, c in zip(cols[i - 1], cols[i], cols[i + 1])
+        ]
+    # Gaussian elimination of I - X, rows as lists.
+    m = [[(int(r == c) - cols[c + 1][r]) % prime for c in range(n)] for r in range(n)]
+    det = 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c] % prime
+        inv = pow(m[c][c], -1, prime)
+        for r in range(c + 1, n):
+            f = m[r][c] * inv % prime
+            if f:
+                m[r] = [(a - f * b) % prime for a, b in zip(m[r], m[c])]
+    return det
+
+
+def alexander_refutes(w: BraidWord) -> bool:
+    """True only when ``burau_alexander`` proves that the closure of ``w``
+    is not the unlink: a link whose value is not 0, or a knot whose value
+    is not t0^k * (1 + t0 + ... + t0^(p-1)), the unknot's.
+
+    A polynomial identity survives evaluation, so True is exact.  False
+    decides nothing: the closure may still be knotted.
+    """
+    value = burau_alexander(w)
+    if closure_components(w) > 1:
+        return value != 0
+    prime = BURAU_PRIME
+    p = w.strands
+    k = (w.writhe - p + 1) // 2  # an integer: a knot's writhe has the parity of p - 1
+    unknot = pow(BURAU_T, k, prime) * sum(pow(BURAU_T, j, prime) for j in range(p))
+    return value != unknot % prime
+
+
 def unlink_jones(components: int) -> LaurentPoly:
     """Jones polynomial of the trivial link with the given component count:
     (-A^2 - A^-2)^(d-1), i.e. (-t^(1/2) - t^(-1/2))^(d-1)."""
@@ -388,6 +458,11 @@ def certify_unlink(w: BraidWord) -> UnlinkCertificate:
     (necessary condition); Certified when the reduction engine dissolves
     the whole word into trivial circles (sufficient); Inconclusive
     otherwise, with the reduction residue attached.
+
+    Above ``MAX_STRANDS`` strands Jones is skipped
+    (``jones_matches_unlink`` is None) and :func:`alexander_refutes` is
+    the cross-check instead: when it proves the closure knotted, the
+    verdict is Refuted, still with ``jones_matches_unlink`` None.
     """
     d = closure_components(w)
     jones_ok: bool | None
@@ -396,6 +471,8 @@ def certify_unlink(w: BraidWord) -> UnlinkCertificate:
         if not jones_ok:
             return UnlinkCertificate(Verdict.REFUTED, d, False, (w,))
     else:
+        if alexander_refutes(w):
+            return UnlinkCertificate(Verdict.REFUTED, d, None, (w,))
         jones_ok = None
     done, residue = _reduce_to_unlink(w)
     if done:

@@ -4,9 +4,11 @@ empirical probes comparing them with the theorem bounds.
 The search enumerates region subsets by increasing cardinality and tests
 the resulting diagram for triviality.  For 2-braid closures triviality is
 decided exactly (the closure of sigma_1^{e_1} ... sigma_1^{e_q} is trivial
-iff |sum e_i| <= 1); everything else requires a Certified verdict from the
-unlink certifier, so an exact value is only reported when no smaller
-subset succeeded and no smaller subset was left undecided.
+iff |sum e_i| <= 1).  Any other word is first offered to the exact
+Burau-Alexander refuter, which settles most knotted words in polynomial
+time; what it does not refute needs a Certified verdict from the unlink
+certifier.  So an exact value is only reported when no smaller subset
+succeeded and no smaller subset was left undecided.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 
 from .braid import BraidWord, toric_braid
 from .diagram import PlanarDiagram, close_braid
-from .invariants import Verdict, certify_unlink
+from .invariants import Verdict, alexander_refutes, certify_unlink
 from .properness import TorusLinkSpec, is_proper
 from .bounds import NotProperError, bound
 
@@ -32,8 +34,8 @@ class SearchReport:
     inconclusive: int  # subsets the oracle could not decide
 
 
-def _two_braid_trivial(w: BraidWord) -> bool:
-    return abs(sum(1 if x > 0 else -1 for x in w.letters)) <= 1
+def _two_braid_trivial(letters: tuple[int, ...]) -> bool:
+    return abs(sum(1 if x > 0 else -1 for x in letters)) <= 1
 
 
 def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
@@ -53,7 +55,10 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
     data = diagram.linking_data()
     if any(data.total_linking(i) % 2 for i in range(data.component_count)):
         raise NotProperError("diagram is not proper; no subset can trivialize it")
-    two_braid = diagram.strands == 2
+    strands = diagram.strands
+    two_braid = strands == 2
+    base = diagram.word().letters
+    rows = diagram.rows
     explored = 0
     undecided = 0
     first_undecided_size: int | None = None
@@ -61,10 +66,16 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
     for k in range(k_max + 1):
         for subset in combinations(ids, k):
             explored += 1
-            word = diagram.region_crossing_changes(subset).word()
+            bits = 0
+            for r in subset:
+                bits ^= rows[r - 1]
+            letters = tuple(-x if bits >> c & 1 else x for c, x in enumerate(base))
             if two_braid:
-                trivial = _two_braid_trivial(word)
+                trivial = _two_braid_trivial(letters)
             else:
+                word = BraidWord(strands, letters)
+                if alexander_refutes(word):
+                    continue
                 verdict = certify_unlink(word).verdict
                 if verdict is Verdict.INCONCLUSIVE:
                     undecided += 1

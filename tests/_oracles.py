@@ -16,11 +16,18 @@ as it was before it moved onto letter tuples: it rebuilds a
 ``BraidWord`` and free-reduces the whole word after every move.  The
 package's engine must give the same words and raise ``BudgetExceeded``
 on the same inputs.
+
+``brute_force_uR`` is the region-subset search as it was before the
+Burau-Alexander refuter went in front of the certifier: it builds each
+subset's diagram through ``region_crossing_changes`` and sends every
+word on more than two strands to ``certify_unlink``.  The package's
+search must give the same reports.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from regionum.braid import (
@@ -30,7 +37,10 @@ from regionum.braid import (
     _free_reduce_list,
     free_reduce,
 )
+from regionum.diagram import PlanarDiagram
+from regionum.invariants import UnlinkCertificate, Verdict, certify_unlink
 from regionum.laurent import LOOP, LaurentPoly
+from regionum.search import SearchReport
 
 MARKOV_MAX_ROUNDS = 10_000  # rounds of markov_simplify before it stops
 
@@ -288,3 +298,48 @@ def _conjugation_improvement(w: BraidWord, max_len: int) -> BraidWord | None:
         if len(v) <= len(w) and _try_destabilize(v) is not None:
             return v
     return None
+
+
+def brute_force_uR(
+    diagram: PlanarDiagram, k_max: int
+) -> tuple[SearchReport, list[tuple[BraidWord, UnlinkCertificate]]]:
+    """Smallest number of region crossing changes trivializing the
+    diagram, searching subsets of size 0..k_max in order; also returns
+    every word sent to ``certify_unlink`` with its certificate.  Assumes
+    the diagram passes the package's guards (region count, properness)."""
+    checked: list[tuple[BraidWord, UnlinkCertificate]] = []
+    explored = 0
+    undecided = 0
+    first_undecided_size: int | None = None
+    for k in range(k_max + 1):
+        for subset in combinations(range(1, len(diagram.regions) + 1), k):
+            explored += 1
+            word = diagram.region_crossing_changes(subset).word()
+            if diagram.strands == 2:
+                trivial = abs(word.writhe) <= 1
+            else:
+                cert = certify_unlink(word)
+                checked.append((word, cert))
+                if cert.verdict is Verdict.INCONCLUSIVE:
+                    undecided += 1
+                    if first_undecided_size is None:
+                        first_undecided_size = k
+                    continue
+                trivial = cert.verdict is Verdict.CERTIFIED
+            if trivial:
+                report = SearchReport(
+                    exact=k if first_undecided_size is None else None,
+                    lower_bound=k if first_undecided_size is None else first_undecided_size,
+                    witness=subset,
+                    explored=explored,
+                    inconclusive=undecided,
+                )
+                return report, checked
+    report = SearchReport(
+        exact=None,
+        lower_bound=k_max + 1 if first_undecided_size is None else first_undecided_size,
+        witness=None,
+        explored=explored,
+        inconclusive=undecided,
+    )
+    return report, checked

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import conjugate, cyclic_shift
+from _words import braid_words, letters, trivial_conjugates
 from regionum.braid import (
     BraidWord,
     BudgetExceeded,
@@ -163,18 +164,6 @@ def test_markov_simplify_golden_digest():
     assert h.hexdigest() == MARKOV_DIGEST
 
 
-def _letters(p):
-    return st.sampled_from([x for x in range(1 - p, p) if x])
-
-
-@st.composite
-def braid_words(draw, letters_per_strand=4):
-    p = draw(st.integers(2, 8))
-    return BraidWord(
-        p, tuple(draw(st.lists(_letters(p), max_size=letters_per_strand * p)))
-    )
-
-
 @given(braid_words())
 def test_try_destabilize_ignores_rotation(w):
     expected = _destabilize(w.strands, w.letters)
@@ -203,64 +192,13 @@ def test_no_short_conjugation_improves_markov_simplify(w):
 @given(braid_words(6), st.data())
 def test_conjugate_reduced_matches_conjugate(w, data):
     v = free_reduce(w)
-    a = data.draw(_letters(w.strands))
+    a = data.draw(letters(w.strands))
     assert _conjugate_reduced(v.letters, a) == conjugate(v, a).letters
 
 
 @given(braid_words(6))
 def test_handle_reduce_matches_oracle(w):
     assert handle_reduce(w) == _oracles.handle_reduce(w)
-
-
-def _rewrite_at(word, j):
-    """One braid relation applied at position j, or None if none fits:
-    far-apart letters commute, s_i^e s_k^f s_i^-e = s_k^-e s_i^f s_k^e
-    and s_i^e s_k^e s_i^e = s_k^e s_i^e s_k^e for |i - k| = 1."""
-    x, y = word[j], word[j + 1]
-    i, k = abs(x), abs(y)
-    if abs(i - k) >= 2:
-        return word[:j] + [y, x] + word[j + 2 :]
-    if j + 2 >= len(word) or abs(i - k) != 1:
-        return None
-    e, f = (1 if x > 0 else -1), (1 if y > 0 else -1)
-    if word[j + 2] == -x:
-        return word[:j] + [-e * k, f * i, e * k] + word[j + 3 :]
-    if word[j + 2] == x and e == f:
-        return word[:j] + [y, x, y] + word[j + 3 :]
-    return None
-
-
-def _respell(letters, moves):
-    """The same braid spelled differently: each move inserts a cancelling
-    pair, or applies the first braid relation that fits at or after a
-    position."""
-    word = list(letters)
-    for kind, pos, gen in moves:
-        if kind == 0:
-            j = pos % (len(word) + 1)
-            word[j:j] = [gen, -gen]
-            continue
-        for step in range(len(word) - 1):
-            rewritten = _rewrite_at(word, (pos + step) % (len(word) - 1))
-            if rewritten is not None:
-                word = rewritten
-                break
-    return tuple(word)
-
-
-@st.composite
-def trivial_conjugates(draw):
-    """u w w'^-1 u^-1, where w' is w respelled by braid relations (on
-    three or more strands, where relations other than free cancellation
-    exist)."""
-    p = draw(st.integers(3, 8))
-    w = draw(st.lists(_letters(p), min_size=2, max_size=3 * p))
-    u = draw(st.lists(_letters(p), max_size=2 * p))
-    move = st.tuples(st.integers(0, 3), st.integers(0, 64), _letters(p))
-    moves = draw(st.lists(move, min_size=p, max_size=4 * p))
-    u = BraidWord(p, tuple(u))
-    v = BraidWord(p, tuple(w)) * BraidWord(p, _respell(w, moves)).inverse()
-    return u * v * u.inverse()
 
 
 @given(trivial_conjugates())

@@ -1,23 +1,30 @@
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given
 
 from _oracles import conjugate, cyclic_shift, dict_bracket, naive_bracket
+from _words import unlink_closures
 from regionum import invariants
-from regionum.bounds import bound, target_word
+from regionum.bounds import bound, target_word, verify_bound
 from regionum.braid import BraidWord, parse_word, toric_braid
 from regionum.invariants import (
+    BURAU_PRIME,
+    BURAU_T,
     MAX_STRANDS,
     Verdict,
+    alexander_refutes,
+    burau_alexander,
     certify_unlink,
     jones,
     kauffman_bracket,
     unlink_jones,
 )
 from regionum.laurent import LOOP, LaurentPoly
-from regionum.properness import TorusLinkSpec
+from regionum.properness import TorusLinkSpec, is_proper
 from regionum.templates import staircase_word, three_block_word
 
 
@@ -211,3 +218,87 @@ def test_certify_multi_component_unlink():
     cert2 = certify_unlink(BraidWord(2, (1, -1)))
     assert cert2.verdict is Verdict.CERTIFIED
     assert cert2.components == 2
+
+
+def test_certify_unlink_refutes_by_alexander_above_the_strand_guard():
+    cert = certify_unlink(toric_braid(MAX_STRANDS + 1, MAX_STRANDS + 2))
+    assert cert.verdict is Verdict.REFUTED
+    assert cert.jones_matches_unlink is None
+    unknot = BraidWord(MAX_STRANDS + 1, tuple(range(1, MAX_STRANDS + 1)))
+    cert = certify_unlink(unknot)
+    assert cert.verdict is Verdict.CERTIFIED
+    assert cert.jones_matches_unlink is None
+
+
+def _at_t0(poly):
+    """A Laurent polynomial {exponent: coefficient} evaluated at t0
+    modulo the Burau prime."""
+    return sum(c * pow(BURAU_T, e, BURAU_PRIME) for e, c in poly.items()) % BURAU_PRIME
+
+
+def _times(f, g):
+    out = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            out[a + b] = out.get(a + b, 0) + ca * cb
+    return out
+
+
+def test_burau_alexander_known_values():
+    # det(I - B(w)) = t^k (1 + t + ... + t^(p-1)) Delta(t), k = (writhe - p + 1)/2
+    trefoil = _times({1: 1}, _times({0: 1, 1: 1}, {-1: 1, 0: -1, 1: 1}))
+    assert burau_alexander(toric_braid(2, 3)) == _at_t0(trefoil)
+    left = _times({-2: 1}, _times({0: 1, 1: 1}, {-1: 1, 0: -1, 1: 1}))
+    assert burau_alexander(toric_braid(2, 3).mirror()) == _at_t0(left)
+    eight = _times({-1: 1}, _times({0: 1, 1: 1, 2: 1}, {-1: -1, 0: 3, 1: -1}))
+    assert burau_alexander(parse_word("1 -2 1 -2")) == _at_t0(eight)
+    assert burau_alexander(BraidWord(1)) == 1
+
+
+def test_alexander_refutes_small_links():
+    assert alexander_refutes(toric_braid(2, 3))
+    assert alexander_refutes(parse_word("1 -2 1 -2"))
+    assert alexander_refutes(toric_braid(2, 2))  # Hopf link
+    assert not alexander_refutes(BraidWord(1))
+    assert not alexander_refutes(BraidWord(2, (1, -1)))  # 2-component unlink
+    assert not alexander_refutes(BraidWord(3, (1, -1, 2, -2)))  # 3 components
+    assert not alexander_refutes(BraidWord(3))
+
+
+def test_unknot_value_exponent_and_sign_are_pinned():
+    # every sigma_1^(+-1) ... sigma_(p-1)^(+-1) closes to the unknot
+    prime, t = BURAU_PRIME, BURAU_T
+    for p in range(2, 7):
+        total = sum(pow(t, j, prime) for j in range(p))
+        for signs in itertools.product((1, -1), repeat=p - 1):
+            w = BraidWord(p, tuple(s * i for i, s in enumerate(signs, start=1)))
+            k = (w.writhe - p + 1) // 2
+            value = burau_alexander(w)
+            assert value == pow(t, k, prime) * total % prime, w
+            assert value != -pow(t, k, prime) * total % prime
+            assert value != pow(t, k + 1, prime) * total % prime
+            assert not alexander_refutes(w)
+
+
+def test_alexander_never_refutes_a_certified_target():
+    # On the probe words the search test checks that Alexander refutes
+    # only words Jones refutes, so no certified one.
+    grid = [
+        TorusLinkSpec(p, q)
+        for p in range(2, 7)
+        for q in range(p + 1, 6 * p + 6)
+        if is_proper(p, q)
+    ]
+    wide = [TorusLinkSpec(p, p + 1) for p in range(7, 10)]
+    certified = []
+    for spec in grid + wide:
+        cert = verify_bound(spec).certificate
+        if cert.unlink.verdict is Verdict.CERTIFIED:
+            certified.append(cert.target)
+    assert len(certified) == 114
+    assert [w for w in certified if alexander_refutes(w)] == []
+
+
+@given(unlink_closures())
+def test_alexander_never_refutes_an_unlink(w):
+    assert not alexander_refutes(w)

@@ -1,8 +1,10 @@
 import pytest
 
+import _oracles
 from regionum.bounds import NotProperError
 from regionum.braid import BraidWord, toric_braid
 from regionum.diagram import close_braid
+from regionum.invariants import Verdict, alexander_refutes, certify_unlink
 from regionum.search import MAX_REGIONS, brute_force_uR, sharpness_probe
 from regionum.properness import TorusLinkSpec
 
@@ -19,6 +21,43 @@ def test_witness_actually_trivializes():
     report = brute_force_uR(diagram, 2)
     word = diagram.region_crossing_changes(report.witness).word()
     assert abs(word.writhe) <= 1  # trivial 2-braid closure criterion
+
+
+def test_witness_certifies_on_four_strands():
+    diagram = close_braid(toric_braid(4, 5))
+    report = brute_force_uR(diagram, 3)
+    assert report.exact == 3
+    word = diagram.region_crossing_changes(report.witness).word()
+    assert certify_unlink(word).verdict is Verdict.CERTIFIED
+
+
+def test_search_matches_certify_every_subset_oracle():
+    # the 29 probe specs: p = 2..5, at most 16 crossings
+    specs = [
+        TorusLinkSpec(p, q)
+        for p in range(2, 6)
+        for q in range(2, 17)
+        if (p - 1) * q <= 16
+    ]
+    assert len(specs) == 29
+    checked = []
+    for spec in specs:
+        probe = sharpness_probe(spec)
+        if not probe.proper:
+            continue
+        k_max = probe.theorem_bound
+        if k_max is None:
+            k_max = (spec.crossings + 2) // 2
+        diagram = close_braid(toric_braid(spec.p, spec.q))
+        expected, words = _oracles.brute_force_uR(diagram, k_max)
+        assert probe.search == expected, spec
+        checked += words
+    # every word Alexander refutes, Jones refutes too
+    assert len(checked) == 656
+    by_jones = {w for w, cert in checked if cert.verdict is Verdict.REFUTED}
+    by_alexander = {w for w, _ in checked if alexander_refutes(w)}
+    assert by_alexander <= by_jones
+    assert (len(by_alexander), len(by_jones)) == (642, 643)
 
 
 def test_zero_changes_needed_for_trivial_diagram():
