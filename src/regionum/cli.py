@@ -107,7 +107,7 @@ def cmd_brute(args) -> int:
                 "q": spec.q,
                 "exact": report.exact,
                 "lower_bound": report.lower_bound,
-                "witness": list(report.witness) if report.witness else None,
+                "witness": None if report.witness is None else list(report.witness),
                 "explored": report.explored,
                 "inconclusive": report.inconclusive,
             }

@@ -4,11 +4,18 @@ empirical probes comparing them with the theorem bounds.
 The search enumerates region subsets by increasing cardinality and tests
 the resulting diagram for triviality.  For 2-braid closures triviality is
 decided exactly (the closure of sigma_1^{e_1} ... sigma_1^{e_q} is trivial
-iff |sum e_i| <= 1).  Any other word is first offered to the exact
-Burau-Alexander refuter, which settles most knotted words in polynomial
-time; what it does not refute needs a Certified verdict from the unlink
-certifier.  So an exact value is only reported when no smaller subset
-succeeded and no smaller subset was left undecided.
+iff |sum e_i| <= 1), from popcounts of the subset's flip int.  Any other
+word is first offered to the exact Burau-Alexander refuter, which settles
+most knotted words in polynomial time; what it does not refute needs a
+Certified verdict from the unlink certifier.  So an exact value is only
+reported when no smaller subset succeeded and no smaller subset was left
+undecided.
+
+Flip patterns are keyed up to the rotation symmetry of the base word: on
+the standard diagram, (sigma_1 ... sigma_{p-1})^q, rotating a pattern by
+p - 1 crossings gives a conjugate braid.  Refutations (and only
+refutations) are reused across a key's rotations within one call; see
+:func:`brute_force_uR`.
 """
 
 from __future__ import annotations
@@ -34,8 +41,15 @@ class SearchReport:
     inconclusive: int  # subsets the oracle could not decide
 
 
-def _two_braid_trivial(letters: tuple[int, ...]) -> bool:
-    return abs(sum(1 if x > 0 else -1 for x in letters)) <= 1
+def _rotation_period(base: tuple[int, ...]) -> int:
+    """Smallest s dividing len(base) such that rotating ``base`` by s
+    leaves it unchanged: p - 1 for the standard diagram of T(p, q), and
+    len(base) when the word has no rotation symmetry."""
+    length = len(base)
+    return next(
+        s for s in range(1, length + 1)
+        if length % s == 0 and base[s:] + base[:s] == base
+    )
 
 
 def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
@@ -44,6 +58,26 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
 
     When undecided subsets exist below the first success, the result is
     reported as a lower bound only (exact=None) rather than guessed.
+
+    A subset is tested through its flip int (bit c flips crossing c).
+    Rotating the base word by its rotation period ``s`` leaves it
+    unchanged, so rotating a flip int by a multiple of ``s`` gives a cyclic
+    rotation of the flipped word: a conjugate braid with the same closure.
+    Each flip int is keyed by the least of those rotations (with no
+    symmetry, ``s`` is the word length and the key is the flip int).  A
+    per-call memo holds the keys whose closure was proven not to be the
+    unlink, by the Alexander refuter or by a Refuted verdict; a later
+    subset with a memoized key counts as explored and is skipped, as a
+    refuted one always was.  Both refutations rest on invariants of the
+    closure, so every rotation would be refuted the same way and the report
+    is the one an unmemoized search gives.  Inconclusive and Certified
+    verdicts are never stored: the reduction engine may answer differently
+    for another rotation, and Certified ends the search.  The memo costs one
+    int per refuted class and is freed when the call returns.
+
+    On two strands the closure is trivial iff |writhe| <= 1, and the writhe
+    is the base writhe minus twice the flipped positive crossings plus
+    twice the flipped negative ones, so no word is built.
     """
     if k_max < 0:
         raise ValueError(f"subset size bound must be >= 0, got {k_max}")
@@ -59,6 +93,14 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
     two_braid = strands == 2
     base = diagram.word().letters
     rows = diagram.rows
+    length = len(base)
+    mask = (1 << length) - 1
+    period = _rotation_period(base)
+    shifts = range(period, length, period)
+    pos = sum(1 << c for c, x in enumerate(base) if x > 0)
+    neg = mask & ~pos
+    base_writhe = pos.bit_count() - neg.bit_count()
+    refuted: set[int] = set()  # keys of closures proven not to be the unlink
     explored = 0
     undecided = 0
     first_undecided_size: int | None = None
@@ -69,29 +111,46 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
             bits = 0
             for r in subset:
                 bits ^= rows[r - 1]
-            letters = tuple(-x if bits >> c & 1 else x for c, x in enumerate(base))
             if two_braid:
-                trivial = _two_braid_trivial(letters)
+                writhe = (
+                    base_writhe
+                    - 2 * (bits & pos).bit_count()
+                    + 2 * (bits & neg).bit_count()
+                )
+                if abs(writhe) > 1:
+                    continue
             else:
-                word = BraidWord(strands, letters)
+                key = bits
+                for t in shifts:
+                    rotated = (bits >> t | bits << (length - t)) & mask
+                    if rotated < key:
+                        key = rotated
+                if key in refuted:
+                    continue
+                word = BraidWord(
+                    strands,
+                    tuple(-x if bits >> c & 1 else x for c, x in enumerate(base)),
+                )
                 if alexander_refutes(word):
+                    refuted.add(key)
                     continue
                 verdict = certify_unlink(word).verdict
+                if verdict is Verdict.REFUTED:
+                    refuted.add(key)
+                    continue
                 if verdict is Verdict.INCONCLUSIVE:
                     undecided += 1
                     if first_undecided_size is None:
                         first_undecided_size = k
                     continue
-                trivial = verdict is Verdict.CERTIFIED
-            if trivial:
-                exact = k if first_undecided_size is None else None
-                return SearchReport(
-                    exact=exact,
-                    lower_bound=k if first_undecided_size is None else first_undecided_size,
-                    witness=subset,
-                    explored=explored,
-                    inconclusive=undecided,
-                )
+            exact = k if first_undecided_size is None else None
+            return SearchReport(
+                exact=exact,
+                lower_bound=k if first_undecided_size is None else first_undecided_size,
+                witness=subset,
+                explored=explored,
+                inconclusive=undecided,
+            )
     return SearchReport(
         exact=None,
         lower_bound=(

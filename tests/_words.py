@@ -1,4 +1,5 @@
-"""Hypothesis strategies for braid words, shared by the test modules."""
+"""Hypothesis strategies and a seeded generator for braid words, shared by
+the test modules."""
 
 from hypothesis import strategies as st
 
@@ -9,9 +10,20 @@ def letters(p):
     return st.sampled_from([x for x in range(1 - p, p) if x])
 
 
+def random_connected_word(rng, p, c):
+    """c random letters on p strands that use every generator, so that the
+    closure is a connected diagram."""
+    while True:
+        w = BraidWord(
+            p, tuple(rng.choice([1, -1]) * rng.randint(1, p - 1) for _ in range(c))
+        )
+        if {abs(x) for x in w.letters} == set(range(1, p)):
+            return w
+
+
 @st.composite
-def braid_words(draw, letters_per_strand=4):
-    p = draw(st.integers(2, 8))
+def braid_words(draw, letters_per_strand=4, min_strands=2, max_strands=8):
+    p = draw(st.integers(min_strands, max_strands))
     return BraidWord(
         p, tuple(draw(st.lists(letters(p), max_size=letters_per_strand * p)))
     )

@@ -77,6 +77,22 @@ def test_brute_json(capsys):
     assert payload["exact"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, witness",
+    [
+        (("brute", "2", "1"), []),  # already trivial: the empty subset
+        (("brute", "3", "1"), []),
+        (("brute", "2", "9", "--max-k", "1"), None),  # no witness found
+    ],
+)
+def test_brute_witness_json(capsys, argv, witness):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["witness"] == witness
+    assert (payload["exact"] is None) == (witness is None)
+
+
 def test_probe_json(capsys):
     code, out, _ = run(capsys, "probe", "3", "3")
     assert code == 0

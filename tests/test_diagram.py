@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from _words import random_connected_word
 from regionum import diagram
 from regionum.braid import BraidWord, parse_word, toric_braid
 from regionum.diagram import (
@@ -13,15 +14,6 @@ from regionum.diagram import (
     toric_diagram,
 )
 from regionum.gf2 import select_bits, solution_coset
-
-
-def random_connected_word(rng, p, c):
-    while True:
-        w = BraidWord(
-            p, tuple(rng.choice([1, -1]) * rng.randint(1, p - 1) for _ in range(c))
-        )
-        if {abs(x) for x in w.letters} == set(range(1, p)):
-            return w
 
 
 def _anchors(d):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from _oracles import conjugate, cyclic_shift, dict_bracket, naive_bracket
-from _words import unlink_closures
+from _words import braid_words, unlink_closures
 from regionum import invariants
 from regionum.bounds import bound, target_word, verify_bound
 from regionum.braid import BraidWord, parse_word, toric_braid
@@ -170,6 +170,15 @@ def test_jones_markov_invariance():
         else:  # positive or negative stabilization
             w2 = BraidWord(p + 1, w.letters + (rng.choice([p, -p]),))
         assert jones(w2) == value, (w, move)
+
+
+@given(braid_words(min_strands=3, max_strands=6))
+def test_burau_alexander_and_jones_agree_on_every_rotation(w):
+    # the u_R search skips every rotation of a flip pattern once one
+    # rotation's closure is refuted; both invariants must allow that
+    rotations = [cyclic_shift(w, k) for k in range(1, len(w.letters))]
+    assert all(burau_alexander(v) == burau_alexander(w) for v in rotations)
+    assert all(jones(v) == jones(w) for v in rotations)
 
 
 def test_certify_unlink_certifies_trivial_words():

@@ -1,11 +1,26 @@
+import random
+from itertools import combinations
+
 import pytest
 
 import _oracles
+from _words import random_connected_word
+from regionum import search
 from regionum.bounds import NotProperError
 from regionum.braid import BraidWord, toric_braid
 from regionum.diagram import close_braid
-from regionum.invariants import Verdict, alexander_refutes, certify_unlink
-from regionum.search import MAX_REGIONS, brute_force_uR, sharpness_probe
+from regionum.invariants import (
+    UnlinkCertificate,
+    Verdict,
+    alexander_refutes,
+    certify_unlink,
+)
+from regionum.search import (
+    MAX_REGIONS,
+    _rotation_period,
+    brute_force_uR,
+    sharpness_probe,
+)
 from regionum.properness import TorusLinkSpec
 
 
@@ -29,6 +44,25 @@ def test_witness_certifies_on_four_strands():
     assert report.exact == 3
     word = diagram.region_crossing_changes(report.witness).word()
     assert certify_unlink(word).verdict is Verdict.CERTIFIED
+
+
+# the probe set: p = 2..5, at most 16 crossings
+PROBE_SPECS = [
+    TorusLinkSpec(p, q) for p in range(2, 6) for q in range(2, 17) if (p - 1) * q <= 16
+]
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap ``search.<name>`` so that it records each word it is called on."""
+    calls = []
+    f = getattr(search, name)
+
+    def recorded(w):
+        calls.append(w)
+        return f(w)
+
+    monkeypatch.setattr(search, name, recorded)
+    return calls
 
 
 def test_search_matches_certify_every_subset_oracle():
@@ -58,6 +92,93 @@ def test_search_matches_certify_every_subset_oracle():
     by_alexander = {w for w, _ in checked if alexander_refutes(w)}
     assert by_alexander <= by_jones
     assert (len(by_alexander), len(by_jones)) == (642, 643)
+
+
+def test_rotation_period():
+    for p, q in [(2, 5), (3, 4), (4, 6), (5, 3)]:
+        assert _rotation_period(toric_braid(p, q).letters) == p - 1
+    assert _rotation_period((1, 2, -1, 2)) == 4
+    assert _rotation_period((1, -2, 1, -2, 1, -2)) == 2
+
+
+def _rotations(letters):
+    return {letters[j:] + letters[:j] for j in range(len(letters))}
+
+
+def test_memo_reuses_only_refutations(monkeypatch):
+    # Find a subset word that is a rotation of an earlier, different
+    # subset word; let the certifier be inconclusive on the earlier one
+    # and certify the later one.  Had the memo stored the inconclusive
+    # class, the certified rotation would never be tried.
+    diagram = close_braid(toric_braid(3, 4))
+    k_max = 3
+    seen = set()
+    for subset in (
+        s for k in range(k_max + 1)
+        for s in combinations(range(1, len(diagram.regions) + 1), k)
+    ):
+        letters = diagram.region_crossing_changes(subset).word().letters
+        if (_rotations(letters) - {letters}) & seen:
+            break
+        seen.add(letters)
+    else:
+        pytest.fail("no subset word is a rotation of an earlier one")
+    certified, inconclusive = letters, _rotations(letters) - {letters}
+
+    def fake_certify(w):
+        if w.letters == certified:
+            verdict = Verdict.CERTIFIED
+        elif w.letters in inconclusive:
+            verdict = Verdict.INCONCLUSIVE
+        else:
+            verdict = Verdict.REFUTED
+        return UnlinkCertificate(verdict, 1, None, ())
+
+    monkeypatch.setattr(search, "alexander_refutes", lambda w: False)
+    monkeypatch.setattr(search, "certify_unlink", fake_certify)
+    monkeypatch.setattr(_oracles, "certify_unlink", fake_certify)
+    report = brute_force_uR(diagram, k_max)
+    expected, _ = _oracles.brute_force_uR(diagram, k_max)
+    assert report == expected
+    assert report.witness == subset
+    assert report.exact is None and report.inconclusive >= 1
+
+
+def test_search_matches_oracle_without_rotation_symmetry(monkeypatch):
+    # Period L: each key is the flip int itself, so the memo skips only
+    # subsets whose flips repeat an earlier subset's (they differ by a
+    # kernel element).  Mostly positive letters keep u_R above 1.
+    refuter_calls = _record_calls(monkeypatch, "alexander_refutes")
+    rng = random.Random(29)
+    checked = deep = oracle_words = 0
+    while checked < 20:
+        p = rng.randint(3, 4)
+        w = random_connected_word(rng, p, rng.randint(2 * p, 12))
+        w = BraidWord(p, tuple(abs(x) if rng.random() < 0.8 else x for x in w.letters))
+        if _rotation_period(w.letters) != len(w.letters):
+            continue
+        diagram = close_braid(w)
+        k_max = 4
+        try:
+            report = brute_force_uR(diagram, k_max)
+        except NotProperError:
+            continue
+        expected, words = _oracles.brute_force_uR(diagram, k_max)
+        assert report == expected, w
+        checked += 1
+        deep += report.exact is not None and report.exact >= 2
+        oracle_words += len(words)
+    assert deep >= 5
+    assert len(refuter_calls) < oracle_words  # the memo skipped some subsets
+
+
+def test_memo_cuts_refuter_calls_on_the_probe_set(monkeypatch):
+    refuter_calls = _record_calls(monkeypatch, "alexander_refutes")
+    certifier_calls = _record_calls(monkeypatch, "certify_unlink")
+    reports = [sharpness_probe(spec).search for spec in PROBE_SPECS]
+    assert sum(r.explored for r in reports if r is not None) == 3140
+    # without the memo all 656 subset words reach the refuter
+    assert (len(refuter_calls), len(certifier_calls)) == (226, 14)
 
 
 def test_zero_changes_needed_for_trivial_diagram():
