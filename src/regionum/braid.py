@@ -84,7 +84,7 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
     except ValueError:
         raise ValueError(f"a braid word is signed integers, got {text!r}") from None
     if strands is None:
-        strands = max((abs(x) for x in letters), default=1) + 1
+        strands = max((abs(x) for x in letters), default=0) + 1
     return BraidWord(strands, letters)
 
 

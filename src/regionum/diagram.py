@@ -253,6 +253,7 @@ def _number_regions(w: BraidWord, faces: list[list[int]]) -> list[Region]:
     """
     gens = [abs(x) for x in w.letters]
     length = len(gens)
+    top = max(gens)
     left_face = None
     right_face = None
     for idx, orbit in enumerate(faces):
@@ -260,7 +261,7 @@ def _number_regions(w: BraidWord, faces: list[list[int]]) -> list[Region]:
         ports = {h & 3 for h in orbit}
         if cols == {1} and ports <= {BL, TL}:
             left_face = idx
-        if cols == {max(gens)} and ports <= {BR, TR}:
+        if cols == {top} and ports <= {BR, TR}:
             right_face = idx
     if left_face is None or right_face is None or left_face == right_face:
         raise AssertionError("could not identify the two side faces")

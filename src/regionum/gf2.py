@@ -84,15 +84,6 @@ def min_weight_solution(rows: Sequence[int], target: int) -> int | None:
     return best
 
 
-def solution_of_weight(
-    rows: Sequence[int], target: int, weight: int
-) -> int | None:
-    for sol in solution_coset(rows, target):
-        if sol.bit_count() == weight:
-            return sol
-    return None
-
-
 def select_bits(mask: int) -> list[int]:
     return [k for k in range(mask.bit_length()) if (mask >> k) & 1]
 

@@ -24,8 +24,12 @@ import dataclasses
 import enum
 import heapq
 import itertools
+import math
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress, repeat
+from operator import add, and_, lshift, mul, or_, rshift
+from typing import Callable
 
 from .braid import (
     BraidWord,
@@ -46,57 +50,90 @@ MAX_STRANDS = 12  # Catalan(12) = 208012 planar matchings
 # between two repacks.
 _HEADROOM_BITS = 16
 
+# States rewritten at a time when every state changes, so that the old and
+# the new values of only this many are alive together.
+_CHUNK = 4096
+
 
 class _Matchings:
     """Temperley-Lieb matchings on ``p`` strands, interned as integer ids
-    when the sweep first reaches them.
+    when the sweep first reaches them, and the tables the sweep pulls by.
 
     A matching is a fixed-point-free involution of 0..2p-1 (bottom points
     0..p-1, top points p..2p-1) stored as ``bytes``; id 0 is the identity.
-    ``moves[i][sid]`` caches the cup-cap at strands i, i+1 composed onto
-    the top of ``sid`` as ``tid << 1 | loop`` (-1: not built yet), and
-    ``loops[sid]`` caches the loop count of the trace closure (-1: not
-    built yet).
+    The cup-cap e_i at top points i, i+1 sends a matching with a cup there
+    to itself and a loop, and any other matching to one with a cup there.
+    ``pulls[i]`` maps the id of each matching with a cup at i to the tuple
+    of ids e_i sends to it, and ``groups[i]`` is the same table in the
+    form the sweep reads (see :func:`_group`).  ``loops[sid]`` caches the
+    loop count of the trace closure (-1: not counted yet).
+
+    A matching is registered (entered in every ``pulls[i]``) the first
+    time it carries weight in a sweep, so a sweep builds only what it
+    reaches; ``unregistered[sid]`` is 1 until then.  Meanwhile
+    ``groups[i]`` leaves all of ``pulls[i]`` to the sweep's general loop.
+    Once all Catalan(p) matchings are registered the tables are frozen:
+    every loop count is cached, each ``pulls[i]`` is regrouped and freed in
+    turn, and ``ids``, ``matchings``, ``unregistered`` and ``pulls`` are
+    dropped (set to None).
     """
 
-    __slots__ = ("p", "ids", "matchings", "moves", "loops")
+    __slots__ = ("p", "ids", "matchings", "loops", "unregistered", "pulls", "groups", "_left")
 
     def __init__(self, p: int) -> None:
         self.p = p
-        self.ids: dict[bytes, int] = {}
-        self.matchings: list[bytes] = []
-        self.moves = [array("i") for _ in range(p - 1)]
+        self.ids: dict[bytes, int] | None = {}
+        self.matchings: list[bytes] | None = []
         self.loops = array("b")
-        self._intern(bytes([*range(p, 2 * p), *range(p)]))
+        self.unregistered: bytearray | None = bytearray()
+        self.pulls: list[dict[int, tuple[int, ...]]] | None = [{} for _ in range(p - 1)]
+        self.groups: list[_Groups] = [((), (), (), pull) for pull in self.pulls]
+        self._left = math.comb(2 * p, p) // (p + 1)  # matchings not registered
+        self.register(self._intern(bytes([*range(p, 2 * p), *range(p)])))
 
     def _intern(self, m: bytes) -> int:
-        sid = self.ids.get(m)
-        if sid is None:
-            sid = len(self.matchings)
-            self.ids[m] = sid
-            self.matchings.append(m)
-            for row in self.moves:
-                row.append(-1)
-            self.loops.append(-1)
+        """Give the new matching ``m`` the next id."""
+        sid = len(self.matchings)
+        self.ids[m] = sid
+        self.matchings.append(m)
+        self.loops.append(-1)
+        self.unregistered.append(1)
         return sid
 
-    def move(self, sid: int, i: int) -> int:
-        """Build and cache ``moves[i][sid]``."""
+    def register(self, sid: int) -> None:
+        """Enter ``sid`` in every pull table, interning each of its cup-cap
+        images the first time it is reached."""
         p = self.p
         m = self.matchings[sid]
-        a = m[p + i]
-        if a == p + i + 1:
-            t = sid << 1 | 1
-        else:
+        ids = self.ids
+        for i, pull in enumerate(self.pulls):
+            a = m[p + i]
+            if a == p + i + 1:
+                pull.setdefault(sid, ())
+                continue
             b = m[p + i + 1]
             new = bytearray(m)
             new[p + i] = p + i + 1
             new[p + i + 1] = p + i
             new[a] = b
             new[b] = a
-            t = self._intern(bytes(new)) << 1
-        self.moves[i][sid] = t
-        return t
+            image = bytes(new)
+            t = ids.get(image)
+            if t is None:
+                t = self._intern(image)
+            pull[t] = pull.get(t, ()) + (sid,)
+        self.unregistered[sid] = 0
+        self._left -= 1
+        if not self._left:
+            self._freeze()
+
+    def _freeze(self) -> None:
+        for sid in range(len(self.loops)):
+            self.closure_loops(sid)
+        for i in range(self.p - 1):
+            self.groups[i] = _group(self.pulls[i])
+            self.pulls[i] = None
+        self.ids = self.matchings = self.unregistered = self.pulls = None
 
     def closure_loops(self, sid: int) -> int:
         k = self.loops[sid]
@@ -122,6 +159,47 @@ class _Matchings:
 @lru_cache(maxsize=None)
 def _matchings(p: int) -> _Matchings:
     return _Matchings(p)
+
+
+# One generator's pull table: flat records (c, a), (c, a, b) and
+# (c, a, b, d) of the cups with 1, 2 and 3 preimages, and a dict from each
+# other cup to its preimages.
+_Groups = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, tuple[int, ...]]]
+
+
+def _group(pull: dict[int, tuple[int, ...]]) -> _Groups:
+    """``pull`` as :data:`_Groups`, each part in id order."""
+    flat: tuple[list[int], ...] = ([], [], [])
+    rest = {}
+    for c in sorted(pull):
+        pre = tuple(sorted(pull[c]))
+        if 1 <= len(pre) <= 3:
+            flat[len(pre) - 1].extend((c, *pre))
+        else:
+            rest[c] = pre
+    return (*map(tuple, flat), rest)
+
+
+def _pull(v: list[int] | dict[int, int], u: list[int], groups: _Groups, width: int, keep: int) -> None:
+    """Apply one scaled letter to its cup rows: set ``v[c]`` to A^2 times
+    the sum of ``u`` over c's preimages, minus ``u[c]`` shifted by
+    ``keep`` bits, for every cup c in ``groups``.  A preimage has no cup,
+    so ``u`` may be ``v``; ``v`` may also be a dict that collects the new
+    rows.  Most cups have 1 to 3 preimages; their loops are spelt out,
+    which saves a call per cup."""
+    ones, twos, threes, rest = groups
+    it = iter(ones)
+    for c, a in zip(it, it):
+        v[c] = (u[a] << width) - (u[c] << keep)
+    it = iter(twos)
+    for c, a, b in zip(it, it, it):
+        v[c] = ((u[a] + u[b]) << width) - (u[c] << keep)
+    it = iter(threes)
+    for c, a, b, d in zip(it, it, it, it):
+        v[c] = ((u[a] + u[b] + u[d]) << width) - (u[c] << keep)
+    get = u.__getitem__
+    for c, pre in rest.items():
+        v[c] = (sum(map(get, pre)) << width) - (u[c] << keep)
 
 
 def _fits(norm: int, width: int) -> bool:
@@ -151,41 +229,95 @@ def _unpack(v: int, width: int) -> list[int]:
     return out
 
 
-def _pack(coeffs: list[int], width: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << width) + c
-    return v
+def _ones(width: int, slots: int) -> int:
+    """A packed int with 1 in each of its ``slots`` slots."""
+    return ((1 << (width * slots)) - 1) // ((1 << width) - 1)
 
 
-def _repack(state: dict[int, int], width: int) -> tuple[dict[int, int], int, int, int]:
-    """Unpack every state, measure the exact L1 norm and the lowest used
-    slot, and pack again from that slot at the width the norm needs.
-    Returns the new state, its norm, its width and the slots dropped."""
-    low = min((((v & -v).bit_length() - 1) // width for v in state.values()), default=0)
-    unpacked = {sid: _unpack(v >> (low * width), width) for sid, v in state.items()}
-    norm = sum(abs(c) for cs in unpacked.values() for c in cs)
+def _map_in_place(v: list[int], op: Callable[[int, int], int], bits: int) -> None:
+    """Set ``v[s] = op(v[s], bits)`` for every s, a chunk at a time."""
+    for s in range(0, len(v), _CHUNK):
+        v[s : s + _CHUNK] = map(op, v[s : s + _CHUNK], repeat(bits))
+
+
+def _respread(v: list[int], slots: int, width: int, new_width: int) -> None:
+    """Move slot j of each signed packed int in ``v`` from bit ``width * j``
+    to bit ``new_width * j``, in place.  Each int has at most ``slots``
+    slots, and every coefficient must fit in both widths with its sign.
+    Biased, every slot is non-negative; the widths are whole bytes, so each
+    byte position of a slot is then one strided slice over the bytes of a
+    chunk of ints."""
+    top = min(width, new_width) - 1  # a slot biased by 2^top fits either width
+    nb, new_nb = width >> 3, new_width >> 3
+    bias, new_bias = _ones(width, slots) << top, _ones(new_width, slots) << top
+    size = slots * new_nb
+    for s in range(0, len(v), _CHUNK):
+        biased = map(add, v[s : s + _CHUNK], repeat(bias))
+        buf = b"".join(map(int.to_bytes, biased, repeat(slots * nb), repeat("little")))
+        out = bytearray(len(buf) // nb * new_nb)
+        for b in range(min(nb, new_nb)):
+            out[b::new_nb] = buf[b::nb]
+        view = memoryview(out)
+        v[s : s + _CHUNK] = [
+            int.from_bytes(view[k : k + size], "little") - new_bias
+            for k in range(0, len(out), size)
+        ]
+
+
+def _repack(v: list[int], width: int) -> tuple[int, int, int]:
+    """Measure the exact L1 norm and the lowest used slot of the packed
+    states ``v``, and pack them again in place, from that slot on, at the
+    width the norm needs.  Returns their norm, their width and the slots
+    dropped.  The L1 norm must be below 2^(width-1).
+
+    Adding a bias of 2^(width-1) to every slot turns slot c into
+    c + 2^(width-1), in [1, 2^width), with no carry; its top bit is set
+    exactly where c >= 0.  Spreading each top bit over the low width-1
+    bits of its slot and masking the biased int with the result gives P,
+    the state's non-negative slots, and P - v holds the negated negative
+    ones.  An int is congruent to the sum of its slots modulo 2^width - 1,
+    carries included, and the slots of all P, like those of all P - v, sum
+    to less than that, so sum(P) and sum(P) - sum(v) taken modulo it add
+    up to the exact L1 norm.
+    """
+    acc = reduce(or_, v, 0)
+    low = ((acc & -acc).bit_length() - 1) // width if acc else 0
+    if low:
+        _map_in_place(v, rshift, low * width)
+    slots = max(map(int.bit_length, v)) // width + 1
+    bias = _ones(width, slots) << (width - 1)
+    signs = map(and_, map(add, v, repeat(bias)), repeat(bias))
+    masks = map(mul, map(rshift, signs, repeat(width - 1)), repeat((1 << (width - 1)) - 1))
+    pos = sum(map(and_, map(add, v, repeat(bias)), masks))
+    mod = (1 << width) - 1
+    norm = pos % mod + (pos - sum(v)) % mod
     new_width = _slot_width(norm)
-    packed = {sid: _pack(cs, new_width) for sid, cs in unpacked.items()}
-    return packed, norm, new_width, low
+    if new_width != width:
+        _respread(v, slots, width, new_width)
+    return norm, new_width, low
 
 
 def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     """Kauffman bracket of the trace closure, unknot normalized to 1.
 
-    Sweeps the letters through the Temperley-Lieb algebra.  The state maps
-    a matching id to its coefficient, a polynomial in A^2 packed into one
-    int (Kronecker substitution): slot j holds the coefficient of
-    A^(exp + 2j), with one shared A-exponent ``exp``; all exponents after
-    t letters have the parity of t, so A^2 steps lose nothing.  Each letter
-    is scaled so that its weights are left shifts: a positive letter sends
-    a state to itself with weight 1 and to its cup-cap with A^2, or, when
-    the cup-cap closes a loop, to itself with 1 - (A^4 + 1) = -A^4; a
-    negative letter uses A^4, A^2 and A^4 - (A^4 + 1) = -1.  So the L1
-    norm over all states at most doubles per letter.  ``norm`` tracks that
-    bound; before it could reach the sign bit of a slot, the state is
-    repacked at a width fitting its exact norm, which keeps every slot
-    exact.
+    Sweeps the letters through the Temperley-Lieb algebra.  The state
+    ``v`` lists, by matching id, the matching's coefficient, a polynomial
+    in A^2 packed into one int (Kronecker substitution): slot j holds the
+    coefficient of A^(exp + 2j), with one shared A-exponent ``exp``; all
+    exponents after t letters have the parity of t, so A^2 steps lose
+    nothing.  Each letter is scaled so that its weights are left shifts: a
+    positive letter acts as 1 + A^2 e_i, a negative one as A^4 + A^2 e_i,
+    so a negative letter also shifts every state by A^4.  e_i changes
+    only the matchings c with a cup at i, so only those are rewritten,
+    each by pulling from the ids e_i sends to c (:func:`_pull`; for a
+    negative letter the new rows are computed before the shift and
+    written after it); the term of c itself picks up its loop,
+    A^2 (-A^2 - A^-2) = -A^4 - 1, which leaves -A^4 for a positive letter
+    and -1 for a negative one.  So the L1 norm over all states at most
+    doubles per letter.  ``norm`` tracks that bound; before it could reach
+    the sign bit of a slot, the state is repacked at a width fitting its
+    exact norm, which keeps every slot exact.  A matching enters the
+    tables right after the letter that first gives it weight.
     """
     p = w.strands
     if p > MAX_STRANDS:
@@ -195,52 +327,42 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     tables = _matchings(p)
     norm = 1
     width = _slot_width(norm)
-    state = {0: 1}
+    v = [0] * len(tables.loops)
+    v[0] = 1
     exp = 0
     for x in w.letters:
         if not _fits(norm << 1, width):
-            state, norm, width, low = _repack(state, width)
+            norm, width, low = _repack(v, width)
             exp += 2 * low
         norm <<= 1
         i = abs(x) - 1
-        row = tables.moves[i]
-        width2 = 2 * width
-        new: dict[int, int] = {}
-        get = new.get
+        groups = tables.groups[i]
         if x > 0:  # A^-1 * identity + A * cup-cap, scaled by A
             exp -= 1
-            for sid, v in state.items():
-                t = row[sid]
-                if t < 0:
-                    t = tables.move(sid, i)
-                if t & 1:
-                    new[sid] = get(sid, 0) - (v << width2)
-                else:
-                    new[sid] = get(sid, 0) + v
-                    t >>= 1
-                    new[t] = get(t, 0) + (v << width)
+            _pull(v, v, groups, width, 2 * width)  # 1 - (A^4 + 1) = -A^4
         else:  # A * identity + A^-1 * cup-cap, scaled by A^3
             exp -= 3
-            for sid, v in state.items():
-                t = row[sid]
-                if t < 0:
-                    t = tables.move(sid, i)
-                if t & 1:
-                    new[sid] = get(sid, 0) - v
-                else:
-                    new[sid] = get(sid, 0) + (v << width2)
-                    t >>= 1
-                    new[t] = get(t, 0) + (v << width)
-        state = {sid: v for sid, v in new.items() if v}
+            cups: dict[int, int] = {}
+            _pull(cups, v, groups, width, 0)  # A^4 - (A^4 + 1) = -1
+            _map_in_place(v, lshift, 2 * width)
+            for c, value in cups.items():
+                v[c] = value
+        fresh = tables.unregistered
+        if fresh is not None:  # register the matchings this letter gave weight
+            pull = tables.pulls[i]
+            for c in [c for c in compress(pull, map(fresh.__getitem__, pull)) if v[c]]:
+                tables.register(c)
+            v += repeat(0, len(tables.loops) - len(v))
     # Sums of states keep within the norm, so each sum unpacks exactly.
     by_loops: dict[int, int] = {}
-    for sid, v in state.items():
-        k = tables.closure_loops(sid)
-        by_loops[k] = by_loops.get(k, 0) + v
+    for sid, x in enumerate(v):
+        if x:
+            k = tables.closure_loops(sid)
+            by_loops[k] = by_loops.get(k, 0) + x
     coeffs: dict[int, int] = {}
-    for k, v in by_loops.items():
+    for k, x in by_loops.items():
         # LOOP^(k-1) = (-1)^(k-1) * A^(-2(k-1)) * (1 + A^4)^(k-1)
-        cs = _unpack(v, width)
+        cs = _unpack(x, width)
         for _ in range(k - 1):
             cs = [-c for c in cs] + [0, 0]
             for j in range(len(cs) - 1, 1, -1):

@@ -8,7 +8,9 @@ positive crossing, mirrored at a negative one).
 ``dict_bracket`` is the Temperley-Lieb sweep the package used before its
 packed-integer one: matchings as tuples, coefficients as ``LaurentPoly``
 dicts.  It is slow but direct, and reaches words the 2^c state sum
-cannot.
+cannot.  ``slot_repack`` is the packed sweep's repack as it was before it
+stopped looping over slots: it unpacks every coefficient, sums their
+absolute values and packs them again.
 
 ``handle_reduce``, ``markov_simplify`` and their helpers below
 (``cyclic_shift`` and ``conjugate`` among them) are the reduction engine
@@ -38,7 +40,13 @@ from regionum.braid import (
     free_reduce,
 )
 from regionum.diagram import PlanarDiagram
-from regionum.invariants import UnlinkCertificate, Verdict, certify_unlink
+from regionum.invariants import (
+    UnlinkCertificate,
+    Verdict,
+    _slot_width,
+    _unpack,
+    certify_unlink,
+)
 from regionum.laurent import LOOP, LaurentPoly
 from regionum.search import SearchReport
 
@@ -148,6 +156,24 @@ def dict_bracket(w: BraidWord) -> LaurentPoly:
     for m, coeff in state.items():
         total = total + coeff * LOOP ** (_closure_loops(m, p) - 1)
     return total
+
+
+def pack(coeffs: list[int], width: int) -> int:
+    """The packed int with ``coeffs`` in its slots, lowest first."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << width) + c
+    return v
+
+
+def slot_repack(v: list[int], width: int) -> tuple[list[int], int, int, int]:
+    """Reference for ``invariants._repack``, one coefficient at a time:
+    the repacked states, their norm, their width and the slots dropped."""
+    low = min((((x & -x).bit_length() - 1) // width for x in v if x), default=0)
+    unpacked = [_unpack(x >> (low * width), width) for x in v]
+    norm = sum(abs(c) for cs in unpacked for c in cs)
+    new_width = _slot_width(norm)
+    return [pack(cs, new_width) for cs in unpacked], norm, new_width, low
 
 
 def _closure_loops(m: Matching, p: int) -> int:

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from regionum import bounds
 from regionum.bounds import (
     CaseNotCovered,
     NotProperError,
@@ -110,6 +111,13 @@ def test_case_that_does_not_apply_is_refused():
         flip_vector_for(TorusLinkSpec(3, 5), TheoremCase.NP1_P_ODD)
     with pytest.raises(CaseNotCovered):
         explicit_schedule(TorusLinkSpec(3, 5), TheoremCase.NP1_P_ODD)
+
+
+def test_verify_bound_checks_the_schedule_against_the_flip_pattern(monkeypatch):
+    flip_vector = bounds._flip_vector
+    monkeypatch.setattr(bounds, "_flip_vector", lambda toric, target: flip_vector(toric, target) ^ 1)
+    with pytest.raises(AssertionError, match="do not realize the flip pattern"):
+        verify_bound(TorusLinkSpec(3, 4))
 
 
 def test_verify_bound_produces_certificate():

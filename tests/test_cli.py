@@ -106,6 +106,16 @@ def test_jones_command(capsys):
     assert out.strip() == "-1*t^-4 +1*t^-3 +1*t^-1"
 
 
+def test_jones_of_the_empty_word_is_the_unknot(capsys):
+    # the empty word closes on one strand; --strands 2 gives the 2-component unlink
+    code, out, _ = run(capsys, "jones", "")
+    assert code == 0
+    assert out.strip() == "+1"
+    code, out, _ = run(capsys, "jones", "", "--strands", "2")
+    assert code == 0
+    assert out.strip() == "-1*t^(-1/2) -1*t^(1/2)"
+
+
 def test_word_families(capsys):
     code, out, _ = run(capsys, "word", "--family", "staircase", "--p", "3")
     assert code == 0

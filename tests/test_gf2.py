@@ -6,7 +6,6 @@ from regionum.gf2 import (
     row_reduce,
     select_bits,
     solution_coset,
-    solution_of_weight,
 )
 
 
@@ -83,6 +82,4 @@ def test_min_weight_and_exact_weight_solutions():
     target = 0b1111
     best = min_weight_solution(rows, target)
     assert best is not None and best.bit_count() == 2
-    assert solution_of_weight(rows, target, 2) is not None
-    assert solution_of_weight(rows, target, 3) is None
     assert min_weight_solution(rows, 0b0001) is None

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given
 
-from _oracles import conjugate, cyclic_shift, dict_bracket, naive_bracket
+from _oracles import conjugate, cyclic_shift, dict_bracket, naive_bracket, pack, slot_repack
 from _words import braid_words, unlink_closures
 from regionum import invariants
 from regionum.bounds import bound, target_word, verify_bound
@@ -90,7 +90,7 @@ def test_bracket_matches_dict_sweep_on_random_words():
         assert kauffman_bracket(w) == dict_bracket(w), w
 
 
-@pytest.mark.parametrize("p", [6, 7, 8])
+@pytest.mark.parametrize("p", [6, 7, 8, 9, 10])
 def test_bracket_matches_dict_sweep_on_targets(p):
     spec = TorusLinkSpec(p, p + 1)
     case = next(r.case for r in bound(spec) if r.constructible)
@@ -129,12 +129,60 @@ def test_packed_slots_are_exact_up_to_the_sign_guard():
         assert invariants._fits(top, width)
         assert not invariants._fits(top + 1, width)
         coeffs = [top, -top, 0, 1, -1, top]
-        assert invariants._unpack(invariants._pack(coeffs, width), width) == coeffs
-        assert invariants._unpack(invariants._pack([top + 1], width), width) != [top + 1]
+        assert invariants._unpack(pack(coeffs, width), width) == coeffs
+        assert invariants._unpack(pack([top + 1], width), width) != [top + 1]
     for norm in (1, 2, 127, 128, 1 << 40):
         width = invariants._slot_width(norm)
         assert width % 8 == 0
         assert invariants._fits(norm << invariants._HEADROOM_BITS, width)
+
+
+def _packed_states(rng, width, top, count):
+    """Random signed packed states at ``width`` with coefficients below
+    2^top in absolute value; some are zero, and the lowest slots of all
+    of them are empty."""
+    low = rng.randint(0, 3)
+    states = []
+    for _ in range(count):
+        coeffs = [0] * low + [
+            rng.choice([0, 1, -1]) * rng.getrandbits(top) for _ in range(rng.randint(0, 6))
+        ]
+        states.append(pack(coeffs, width))
+    return states
+
+
+def test_repack_matches_the_per_slot_reference():
+    rng = random.Random(41)
+    moves = set()
+    zeros = [0, 0]
+    assert (zeros, *invariants._repack(zeros, 40)) == slot_repack([0, 0], 40)
+    for width, top in [(24, 12), (32, 8), (40, 2), (40, 16), (56, 30)]:
+        for _ in range(30):
+            states = _packed_states(rng, width, top, rng.randint(1, 12))
+            expected = slot_repack(states, width)
+            assert invariants._fits(expected[1], width)
+            assert (states, *invariants._repack(states, width)) == expected
+            new_width = expected[2]
+            moves.add((new_width > width) - (new_width < width))
+    assert moves == {-1, 0, 1}
+
+
+def test_bracket_does_not_depend_on_the_order_tables_were_built():
+    rng = random.Random(37)
+    short = BraidWord(7, tuple(rng.choice([1, -1]) * rng.randint(1, 6) for _ in range(12)))
+    full = toric_braid(7, 8)
+    invariants._matchings.cache_clear()
+    try:
+        short_first = kauffman_bracket(short)
+        assert invariants._matchings(7).unregistered is not None  # tables still partial
+        pair = (short_first, kauffman_bracket(full))
+        invariants._matchings.cache_clear()
+        full_first = kauffman_bracket(full)
+        assert invariants._matchings(7).unregistered is None  # tables frozen
+        swapped = (kauffman_bracket(short), full_first)
+    finally:
+        invariants._matchings.cache_clear()
+    assert pair == swapped == (dict_bracket(short), dict_bracket(full))
 
 
 def test_bracket_is_exact_when_the_slots_are_tight(monkeypatch):
