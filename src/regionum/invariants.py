@@ -1,6 +1,10 @@
 """Closure-level triviality oracle: Kauffman bracket by sweeping a braid
-word through the Temperley-Lieb algebra, Jones polynomial, and an unlink
-certificate combining the polynomial with word reduction.
+word through the Temperley-Lieb algebra, Jones polynomial, an exact
+Alexander refuter (the reduced Burau determinant det(I - B(w)) at a fixed
+point modulo a 61-bit prime, which works at any strand count), and an
+unlink certificate combining these with word reduction.  The certifier
+runs Jones up to ``MAX_STRANDS`` strands and the refuter above it; the
+u_R search sends every word to the refuter before the certifier.
 
 Conventions (fixed once, documented here):
 
@@ -387,11 +391,23 @@ def jones(w: BraidWord) -> LaurentPoly:
 BURAU_PRIME = (1 << 61) - 1
 BURAU_T = 0x5DEECE66D  # evaluation point t0, a unit modulo BURAU_PRIME
 _BURAU_T_INV = pow(BURAU_T, -1, BURAU_PRIME)
-# Weights of columns i-1, i, i+1 in the new column i, by letter sign.
-_BURAU_WEIGHTS = {
-    1: (BURAU_T, BURAU_PRIME - BURAU_T, 1),
-    -1: (1, BURAU_PRIME - _BURAU_T_INV, _BURAU_T_INV),
-}
+_BURAU_GEOMETRIC = pow(BURAU_T - 1, -1, BURAU_PRIME)  # (t0 - 1)^-1
+_BURAU_SLOT = 128  # bits per packed entry; see burau_alexander
+
+
+@lru_cache(maxsize=None)
+def _burau_masks(n: int) -> tuple[int, int, int, int]:
+    """Per-slot constants for ``n`` packed entries: the masks of the low 61
+    and the next 67 bits of each slot, 4P in each slot, and P * 2^62 in
+    each slot (P = ``BURAU_PRIME``)."""
+    ones = _ones(_BURAU_SLOT, n)
+    prime = BURAU_PRIME
+    return (
+        ones * ((1 << 61) - 1),
+        ones * ((1 << 67) - 1),
+        ones * 4 * prime,
+        ones * (prime << 62),
+    )
 
 
 def burau_alexander(w: BraidWord) -> int:
@@ -406,34 +422,85 @@ def burau_alexander(w: BraidWord) -> int:
     t * X[i-1] - t * X[i] + X[i+1], and ``sigma_i^-1`` to
     X[i-1] - t^-1 * X[i] + t^-1 * X[i+1]; every other column stays.
     Columns are 1-based, and columns 0 and p stay zero.
+
+    Each column is one int holding its p - 1 entries in 128-bit slots,
+    row r in slot r, so a letter costs a few big-int operations on one
+    column.  An entry is any residue in [0, 2^62), not necessarily below
+    P = 2^61 - 1.  The fold (x & M61) + (x >> 61 & M67), with M61 and M67
+    the low 61 and the next 67 bits of every slot, maps a slot x below
+    2^128 to x mod 2^61 + x div 2^61, which is x modulo P as 2^61 = 1
+    mod P, and is below 2^61 + 2^(b - 61) when x < 2^b.  The update
+    t0 * (X[i-1] + 4P - X[i]) + X[i+1] of a positive letter has slots
+    below 2^35 * 2^64 + 2^62 < 2^100, so one fold brings it back below
+    2^61 + 2^39 < 2^62; the update X[i-1] + t0^-1 * (X[i+1] + 4P - X[i])
+    of a negative letter has slots below 2^62 + 2^61 * 2^64 < 2^126, and
+    two folds bring it below 2^61 + 2^65 and then below 2^62.  The 4P
+    offset keeps every slot non-negative, and as no slot reaches 2^128 no
+    carry crosses into the next one.  Narrower slots would not hold the
+    2^126 bound; wider ones only cost.
+
+    The determinant runs on the same ints, as the rows e_c + 4P - X[c] of
+    (I - X)^T (below 2^63 per slot, so one fold brings them below 2^62),
+    fraction-free and with the current column in slot 0.  With d the
+    pivot row_c's entry and f row_r's, both reduced below P, row_r
+    becomes d * row_r + P * 2^62 - f * row_c: each slot lies in
+    [0, 2^124), as f * row_c < P * 2^62, and two folds bring it below
+    2^61 + 2^63 and then below 2^62.  Each such step scales the
+    determinant by d, and one inverse of the product of these scales at
+    the end undoes them all.  Each remaining row then drops its
+    eliminated slot.
     """
     prime = BURAU_PRIME
     n = w.strands - 1
-    cols = [[int(r == c) for r in range(n)] for c in range(-1, n + 1)]
+    m61, m67, off, high = _burau_masks(n)
+    cols = [0, *(1 << _BURAU_SLOT * c for c in range(n)), 0]
+    t, t_inv = BURAU_T, _BURAU_T_INV
     for x in w.letters:
-        i = abs(x)
-        left, mid, right = _BURAU_WEIGHTS[1 if x > 0 else -1]
-        cols[i] = [
-            (left * a + mid * b + right * c) % prime
-            for a, b, c in zip(cols[i - 1], cols[i], cols[i + 1])
-        ]
-    # Gaussian elimination of I - X, rows as lists.
-    m = [[(int(r == c) - cols[c + 1][r]) % prime for c in range(n)] for r in range(n)]
-    det = 1
+        if x > 0:
+            y = t * (cols[x - 1] + off - cols[x]) + cols[x + 1]
+            cols[x] = (y & m61) + (y >> 61 & m67)
+        else:
+            i = -x
+            y = cols[i - 1] + t_inv * (cols[i + 1] + off - cols[i])
+            y = (y & m61) + (y >> 61 & m67)
+            cols[i] = (y & m61) + (y >> 61 & m67)
+    rows = []
     for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
+        y = (1 << _BURAU_SLOT * c) + off - cols[c + 1]
+        rows.append((y & m61) + (y >> 61 & m67))
+    low = (1 << _BURAU_SLOT) - 1
+    det = scale = 1
+    for _ in range(n):
+        pivot = rows[0]
+        d = (pivot & low) % prime
+        if not d:
+            k = next((k for k, row in enumerate(rows) if (row & low) % prime), None)
+            if k is None:
+                return 0
+            pivot, rows[k] = rows[k], pivot  # rows[0] is not read again
+            d = (pivot & low) % prime
             det = -det
-        det = det * m[c][c] % prime
-        inv = pow(m[c][c], -1, prime)
-        for r in range(c + 1, n):
-            f = m[r][c] * inv % prime
+        det = det * d % prime
+        rest = []
+        for row in rows[1:]:
+            f = (row & low) % prime
             if f:
-                m[r] = [(a - f * b) % prime for a, b in zip(m[r], m[c])]
-    return det
+                y = d * row + high - f * pivot
+                y = (y & m61) + (y >> 61 & m67)
+                row = (y & m61) + (y >> 61 & m67)
+                scale = scale * d % prime
+            rest.append(row >> _BURAU_SLOT)
+        rows = rest
+        high >>= _BURAU_SLOT
+    return det * pow(scale, -1, prime) % prime
+
+
+def _unknot_burau(p: int, k: int) -> int:
+    """t0^k * (1 + t0 + ... + t0^(p-1)) modulo ``BURAU_PRIME``, the value of
+    :func:`burau_alexander` on a p-strand word closing to the unknot, as
+    t0^k * (t0^p - 1) * (t0 - 1)^-1."""
+    prime = BURAU_PRIME
+    return pow(BURAU_T, k, prime) * (pow(BURAU_T, p, prime) - 1) * _BURAU_GEOMETRIC % prime
 
 
 def alexander_refutes(w: BraidWord) -> bool:
@@ -447,11 +514,9 @@ def alexander_refutes(w: BraidWord) -> bool:
     value = burau_alexander(w)
     if closure_components(w) > 1:
         return value != 0
-    prime = BURAU_PRIME
     p = w.strands
-    k = (w.writhe - p + 1) // 2  # an integer: a knot's writhe has the parity of p - 1
-    unknot = pow(BURAU_T, k, prime) * sum(pow(BURAU_T, j, prime) for j in range(p))
-    return value != unknot % prime
+    # an integer: a knot's writhe has the parity of p - 1
+    return value != _unknot_burau(p, (w.writhe - p + 1) // 2)
 
 
 def unlink_jones(components: int) -> LaurentPoly:

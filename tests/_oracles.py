@@ -19,6 +19,12 @@ as it was before it moved onto letter tuples: it rebuilds a
 package's engine must give the same words and raise ``BudgetExceeded``
 on the same inputs.
 
+``burau_alexander`` is the Burau-Alexander value as it was before its
+columns were packed into one int each: columns as lists of residues, a
+comprehension step with three multiplications per entry and letter, and
+Gaussian elimination with one modular inverse per pivot.  The package's
+value must be the same residue on every word.
+
 ``brute_force_uR`` is the region-subset search as it was before the
 Burau-Alexander refuter went in front of the certifier: it builds each
 subset's diagram through ``region_crossing_changes`` and sends every
@@ -41,6 +47,8 @@ from regionum.braid import (
 )
 from regionum.diagram import PlanarDiagram
 from regionum.invariants import (
+    BURAU_PRIME,
+    BURAU_T,
     UnlinkCertificate,
     Verdict,
     _slot_width,
@@ -324,6 +332,49 @@ def _conjugation_improvement(w: BraidWord, max_len: int) -> BraidWord | None:
         if len(v) <= len(w) and _try_destabilize(v) is not None:
             return v
     return None
+
+
+_BURAU_T_INV = pow(BURAU_T, -1, BURAU_PRIME)
+# Weights of columns i-1, i, i+1 in the new column i, by letter sign.
+_BURAU_WEIGHTS = {
+    1: (BURAU_T, BURAU_PRIME - BURAU_T, 1),
+    -1: (1, BURAU_PRIME - _BURAU_T_INV, _BURAU_T_INV),
+}
+
+
+def burau_alexander(w: BraidWord) -> int:
+    """det(I - B(w)) at t0 = ``BURAU_T`` modulo ``BURAU_PRIME``, B the
+    reduced Burau matrix of ``w``: ``sigma_i`` sends column i of the
+    running product X to t * X[i-1] - t * X[i] + X[i+1], and
+    ``sigma_i^-1`` to X[i-1] - t^-1 * X[i] + t^-1 * X[i+1]; columns 0
+    and p stay zero."""
+    prime = BURAU_PRIME
+    n = w.strands - 1
+    cols = [[int(r == c) for r in range(n)] for c in range(-1, n + 1)]
+    for x in w.letters:
+        i = abs(x)
+        left, mid, right = _BURAU_WEIGHTS[1 if x > 0 else -1]
+        cols[i] = [
+            (left * a + mid * b + right * c) % prime
+            for a, b, c in zip(cols[i - 1], cols[i], cols[i + 1])
+        ]
+    # Gaussian elimination of I - X, rows as lists.
+    m = [[(int(r == c) - cols[c + 1][r]) % prime for c in range(n)] for r in range(n)]
+    det = 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c] % prime
+        inv = pow(m[c][c], -1, prime)
+        for r in range(c + 1, n):
+            f = m[r][c] * inv % prime
+            if f:
+                m[r] = [(a - f * b) % prime for a, b in zip(m[r], m[c])]
+    return det
 
 
 def brute_force_uR(

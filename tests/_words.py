@@ -29,6 +29,25 @@ def braid_words(draw, letters_per_strand=4, min_strands=2, max_strands=8):
     )
 
 
+
+@st.composite
+def signed_runs(draw, letters_per_strand=10, max_strands=14):
+    """A word on 1..max_strands strands whose letters come in runs of one
+    sign: the sign changes only at drawn positions, so a word with no
+    change (what shrinking tends to) is all positive or all negative."""
+    p = draw(st.integers(1, max_strands))
+    if p == 1:
+        return BraidWord(1)
+    gens = draw(st.lists(st.integers(1, p - 1), max_size=letters_per_strand * p))
+    changes = draw(st.sets(st.integers(0, max(len(gens) - 1, 0))))
+    sign = draw(st.sampled_from((1, -1)))
+    letters = []
+    for k, g in enumerate(gens):
+        if k in changes:
+            sign = -sign
+        letters.append(sign * g)
+    return BraidWord(p, tuple(letters))
+
 def _rewrite_at(word, j):
     """One braid relation applied at position j, or None if none fits:
     far-apart letters commute, s_i^e s_k^f s_i^-e = s_k^-e s_i^f s_k^e

@@ -18,7 +18,7 @@ from regionum.bounds import (
 )
 from regionum.diagram import toric_diagram
 from regionum.gf2 import min_weight_solution, select_bits
-from regionum.invariants import Verdict, certify_unlink
+from regionum.invariants import MAX_STRANDS, Verdict, certify_unlink
 from regionum.properness import TorusLinkSpec, is_proper
 
 
@@ -135,6 +135,15 @@ def test_verify_bound_produces_certificate():
         assert payload["bound"] == result.bound
         assert payload["regions"] == list(cert.schedule.region_ids)
         assert payload["verdict"] in ("certified", "inconclusive")
+
+
+def test_verify_bound_certifies_above_the_strand_guard():
+    # 13 strands: Jones is skipped, the Alexander refuter is the only
+    # invariant check, and the reduction engine certifies the target
+    result = verify_bound(TorusLinkSpec(MAX_STRANDS + 1, MAX_STRANDS + 2))
+    unlink = result.certificate.unlink
+    assert unlink.verdict is Verdict.CERTIFIED
+    assert unlink.jones_matches_unlink is None
 
 
 @pytest.mark.parametrize("q", [14, 30])

@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import json
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
+import _oracles
 from _oracles import conjugate, cyclic_shift, dict_bracket, naive_bracket, pack, slot_repack
-from _words import braid_words, unlink_closures
+from _words import braid_words, signed_runs, unlink_closures
 from regionum import invariants
 from regionum.bounds import bound, target_word, verify_bound
 from regionum.braid import BraidWord, parse_word, toric_braid
@@ -310,6 +312,45 @@ def test_burau_alexander_known_values():
     eight = _times({-1: 1}, _times({0: 1, 1: 1, 2: 1}, {-1: -1, 0: 3, 1: -1}))
     assert burau_alexander(parse_word("1 -2 1 -2")) == _at_t0(eight)
     assert burau_alexander(BraidWord(1)) == 1
+
+
+# The elimination of I - B(w) meets a zero pivot on the example word,
+# swaps rows, and still ends with a non-zero determinant.
+@given(signed_runs())
+@example(BraidWord(4, (2, 1, -3, -2, -2, 1, -2)))
+def test_burau_alexander_matches_the_column_list_oracle(w):
+    assert burau_alexander(w) == _oracles.burau_alexander(w)
+
+
+def test_burau_alexander_matches_the_oracle_on_sign_flipped_torus_words():
+    rng = random.Random(20261018)
+    for p in range(3, 14):
+        for q in (rng.randint(1, 2 * p), rng.randint(2 * p, 4 * p)):
+            letters = toric_braid(p, q).letters
+            for density in (0.05, 0.3, 0.7):
+                w = BraidWord(p, tuple(-x if rng.random() < density else x for x in letters))
+                assert burau_alexander(w) == _oracles.burau_alexander(w), w
+
+
+def test_burau_alexander_of_torus_knots_has_the_closed_form():
+    # det(I - B(sigma_1 ... sigma_(p-1))^q) = (t^(pq) - 1) / (t^q - 1) for
+    # gcd(p, q) = 1: t^k (1 + ... + t^(p-1)) times the torus knot's
+    # Conway-normalized Alexander polynomial,
+    # t^-k (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)), k = (p - 1)(q - 1) / 2
+    prime, t = BURAU_PRIME, BURAU_T
+    knots = [(p, q) for p in range(2, 16) for q in range(1, 40) if gcd(p, q) == 1]
+    assert len(knots) == 330
+    for p, q in knots:
+        expected = (pow(t, p * q, prime) - 1) * pow(pow(t, q, prime) - 1, -1, prime) % prime
+        assert burau_alexander(toric_braid(p, q)) == expected, (p, q)
+
+
+def test_unknot_value_is_the_geometric_sum():
+    prime, t = BURAU_PRIME, BURAU_T
+    for p in range(1, 21):
+        total = sum(pow(t, j, prime) for j in range(p))
+        for k in range(-40, 41):
+            assert invariants._unknot_burau(p, k) == pow(t, k, prime) * total % prime, (p, k)
 
 
 def test_alexander_refutes_small_links():
