@@ -54,6 +54,10 @@ MAX_STRANDS = 12  # Catalan(12) = 208012 planar matchings
 # between two repacks.
 _HEADROOM_BITS = 16
 
+# Empty low slots a negative letter's right shifts may use up before every
+# state is shifted left again; see kauffman_bracket.
+_GUARD_SLOTS = 8
+
 # States rewritten at a time when every state changes, so that the old and
 # the new values of only this many are alive together.
 _CHUNK = 4096
@@ -184,26 +188,41 @@ def _group(pull: dict[int, tuple[int, ...]]) -> _Groups:
     return (*map(tuple, flat), rest)
 
 
-def _pull(v: list[int] | dict[int, int], u: list[int], groups: _Groups, width: int, keep: int) -> None:
-    """Apply one scaled letter to its cup rows: set ``v[c]`` to A^2 times
-    the sum of ``u`` over c's preimages, minus ``u[c]`` shifted by
-    ``keep`` bits, for every cup c in ``groups``.  A preimage has no cup,
-    so ``u`` may be ``v``; ``v`` may also be a dict that collects the new
-    rows.  Most cups have 1 to 3 preimages; their loops are spelt out,
-    which saves a call per cup."""
+def _pull(v: list[int], groups: _Groups, width: int, right: bool) -> None:
+    """Apply one scaled letter to its cup rows in place: for every cup c
+    in ``groups``, with s the sum of ``v`` over c's preimages, set
+    ``v[c]`` to (s << width) - (v[c] << 2 width), or with ``right`` to
+    (s >> width) - (v[c] >> 2 width).  A preimage has no cup, so it is
+    read before any write can reach it.  Most cups have 1 to 3 preimages;
+    their loops are spelt out, which saves a call per cup, and so are the
+    two directions, which saves a call per shift."""
     ones, twos, threes, rest = groups
+    keep = 2 * width
+    get = v.__getitem__
+    if right:
+        it = iter(ones)
+        for c, a in zip(it, it):
+            v[c] = (v[a] >> width) - (v[c] >> keep)
+        it = iter(twos)
+        for c, a, b in zip(it, it, it):
+            v[c] = ((v[a] + v[b]) >> width) - (v[c] >> keep)
+        it = iter(threes)
+        for c, a, b, d in zip(it, it, it, it):
+            v[c] = ((v[a] + v[b] + v[d]) >> width) - (v[c] >> keep)
+        for c, pre in rest.items():
+            v[c] = (sum(map(get, pre)) >> width) - (v[c] >> keep)
+        return
     it = iter(ones)
     for c, a in zip(it, it):
-        v[c] = (u[a] << width) - (u[c] << keep)
+        v[c] = (v[a] << width) - (v[c] << keep)
     it = iter(twos)
     for c, a, b in zip(it, it, it):
-        v[c] = ((u[a] + u[b]) << width) - (u[c] << keep)
+        v[c] = ((v[a] + v[b]) << width) - (v[c] << keep)
     it = iter(threes)
     for c, a, b, d in zip(it, it, it, it):
-        v[c] = ((u[a] + u[b] + u[d]) << width) - (u[c] << keep)
-    get = u.__getitem__
+        v[c] = ((v[a] + v[b] + v[d]) << width) - (v[c] << keep)
     for c, pre in rest.items():
-        v[c] = (sum(map(get, pre)) << width) - (u[c] << keep)
+        v[c] = (sum(map(get, pre)) << width) - (v[c] << keep)
 
 
 def _fits(norm: int, width: int) -> bool:
@@ -309,19 +328,33 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     in A^2 packed into one int (Kronecker substitution): slot j holds the
     coefficient of A^(exp + 2j), with one shared A-exponent ``exp``; all
     exponents after t letters have the parity of t, so A^2 steps lose
-    nothing.  Each letter is scaled so that its weights are left shifts: a
-    positive letter acts as 1 + A^2 e_i, a negative one as A^4 + A^2 e_i,
-    so a negative letter also shifts every state by A^4.  e_i changes
-    only the matchings c with a cup at i, so only those are rewritten,
-    each by pulling from the ids e_i sends to c (:func:`_pull`; for a
-    negative letter the new rows are computed before the shift and
-    written after it); the term of c itself picks up its loop,
-    A^2 (-A^2 - A^-2) = -A^4 - 1, which leaves -A^4 for a positive letter
-    and -1 for a negative one.  So the L1 norm over all states at most
-    doubles per letter.  ``norm`` tracks that bound; before it could reach
-    the sign bit of a slot, the state is repacked at a width fitting its
-    exact norm, which keeps every slot exact.  A matching enters the
-    tables right after the letter that first gives it weight.
+    nothing.  Each letter is scaled so that it fixes every matching
+    without a cup at its generator: a positive letter acts as
+    1 + A^2 e_i, a negative one, scaled by A^-1, as 1 + A^-2 e_i.  e_i
+    changes only the matchings c with a cup at i, so only those are
+    rewritten, in place, each by pulling from the ids e_i sends to c
+    (:func:`_pull`); the term of c itself picks up its loop,
+    A^2 (-A^2 - A^-2) = -A^4 - 1 for a positive letter and
+    A^-2 (-A^2 - A^-2) = -1 - A^-4 for a negative one, which with the
+    identity's 1 leaves -A^4 and -A^-4.  So the L1 norm over all states
+    at most doubles per letter.  ``norm`` tracks that bound; before it
+    could reach the sign bit of a slot, the state is repacked at a width
+    fitting its exact norm, which keeps every slot exact.  A matching
+    enters the tables right after the letter that first gives it weight.
+
+    A negative letter's weights A^-2 and A^-4 are right shifts by one
+    and two slots.  They are exact because every state keeps at least
+    ``guard`` empty low slots: a packed int whose k lowest slots are 0 is
+    a multiple of 2^(k width), so shifting it right by up to k slots
+    divides it exactly, and a sum of such ints is one too.  ``guard`` is
+    0 after a repack, which drops the slots all states leave empty; a
+    negative letter uses up 2 (its rows' lowest slot is at least
+    guard - 2); a positive letter keeps it (its rows' lowest slot is at
+    least guard + 1, and the other states do not change).  Before a
+    negative letter finds fewer than 2, every state is shifted left to
+    ``_GUARD_SLOTS`` empty slots, with ``exp`` lowered to match, so that
+    whole-state shift comes at most once every ``_GUARD_SLOTS / 2``
+    negative letters.
     """
     p = w.strands
     if p > MAX_STRANDS:
@@ -334,23 +367,27 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     v = [0] * len(tables.loops)
     v[0] = 1
     exp = 0
+    guard = 0
     for x in w.letters:
         if not _fits(norm << 1, width):
             norm, width, low = _repack(v, width)
             exp += 2 * low
+            guard = 0
         norm <<= 1
         i = abs(x) - 1
         groups = tables.groups[i]
         if x > 0:  # A^-1 * identity + A * cup-cap, scaled by A
             exp -= 1
-            _pull(v, v, groups, width, 2 * width)  # 1 - (A^4 + 1) = -A^4
-        else:  # A * identity + A^-1 * cup-cap, scaled by A^3
-            exp -= 3
-            cups: dict[int, int] = {}
-            _pull(cups, v, groups, width, 0)  # A^4 - (A^4 + 1) = -1
-            _map_in_place(v, lshift, 2 * width)
-            for c, value in cups.items():
-                v[c] = value
+            _pull(v, groups, width, False)  # 1 - (A^4 + 1) = -A^4
+        else:  # A * identity + A^-1 * cup-cap, scaled by A^-1
+            if guard < 2:
+                fill = _GUARD_SLOTS - guard
+                _map_in_place(v, lshift, fill * width)
+                exp -= 2 * fill
+                guard = _GUARD_SLOTS
+            guard -= 2
+            exp += 1
+            _pull(v, groups, width, True)  # 1 - (1 + A^-4) = -A^-4
         fresh = tables.unregistered
         if fresh is not None:  # register the matchings this letter gave weight
             pull = tables.pulls[i]
@@ -503,20 +540,26 @@ def _unknot_burau(p: int, k: int) -> int:
     return pow(BURAU_T, k, prime) * (pow(BURAU_T, p, prime) - 1) * _BURAU_GEOMETRIC % prime
 
 
+def refutes_unlink(value: int, strands: int, components: int, writhe: int) -> bool:
+    """True when ``value``, the :func:`burau_alexander` value of a word on
+    ``strands`` strands with this writhe whose closure has ``components``
+    components, proves that closure is not the unlink: a link whose value
+    is not 0, or a knot whose value is not t0^k * (1 + t0 + ... + t0^(p-1)),
+    the unknot's."""
+    if components > 1:
+        return value != 0
+    # an integer: a knot's writhe has the parity of p - 1
+    return value != _unknot_burau(strands, (writhe - strands + 1) // 2)
+
+
 def alexander_refutes(w: BraidWord) -> bool:
     """True only when ``burau_alexander`` proves that the closure of ``w``
-    is not the unlink: a link whose value is not 0, or a knot whose value
-    is not t0^k * (1 + t0 + ... + t0^(p-1)), the unknot's.
+    is not the unlink (see :func:`refutes_unlink`).
 
     A polynomial identity survives evaluation, so True is exact.  False
     decides nothing: the closure may still be knotted.
     """
-    value = burau_alexander(w)
-    if closure_components(w) > 1:
-        return value != 0
-    p = w.strands
-    # an integer: a knot's writhe has the parity of p - 1
-    return value != _unknot_burau(p, (w.writhe - p + 1) // 2)
+    return refutes_unlink(burau_alexander(w), w.strands, closure_components(w), w.writhe)
 
 
 def unlink_jones(components: int) -> LaurentPoly:

@@ -23,9 +23,9 @@ from __future__ import annotations
 import dataclasses
 from itertools import combinations
 
-from .braid import BraidWord, toric_braid
+from .braid import BraidWord, closure_components, toric_braid
 from .diagram import PlanarDiagram, close_braid
-from .invariants import Verdict, alexander_refutes, certify_unlink
+from .invariants import Verdict, burau_alexander, certify_unlink, refutes_unlink
 from .properness import TorusLinkSpec, is_proper
 from .bounds import NotProperError, bound
 
@@ -58,6 +58,8 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
 
     When undecided subsets exist below the first success, the result is
     reported as a lower bound only (exact=None) rather than guessed.
+    Undecided subsets of the success's own size do not matter: every
+    smaller subset was refuted, so the size is exact.
 
     A subset is tested through its flip int (bit c flips crossing c).
     Rotating the base word by its rotation period ``s`` leaves it
@@ -75,9 +77,11 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
     for another rotation, and Certified ends the search.  The memo costs one
     int per refuted class and is freed when the call returns.
 
-    On two strands the closure is trivial iff |writhe| <= 1, and the writhe
-    is the base writhe minus twice the flipped positive crossings plus
-    twice the flipped negative ones, so no word is built.
+    The writhe of a subset's word is the base writhe minus twice the
+    flipped positive crossings plus twice the flipped negative ones, and
+    its closure has the base word's component count, as a sign flip keeps
+    the permutation; the refuter's decision takes both from here.  On two
+    strands the closure is trivial iff |writhe| <= 1, so no word is built.
     """
     if k_max < 0:
         raise ValueError(f"subset size bound must be >= 0, got {k_max}")
@@ -91,7 +95,9 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
         raise NotProperError("diagram is not proper; no subset can trivialize it")
     strands = diagram.strands
     two_braid = strands == 2
-    base = diagram.word().letters
+    base_word = diagram.word()
+    base = base_word.letters
+    components = closure_components(base_word)
     rows = diagram.rows
     length = len(base)
     mask = (1 << length) - 1
@@ -111,12 +117,12 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
             bits = 0
             for r in subset:
                 bits ^= rows[r - 1]
+            writhe = (
+                base_writhe
+                - 2 * (bits & pos).bit_count()
+                + 2 * (bits & neg).bit_count()
+            )
             if two_braid:
-                writhe = (
-                    base_writhe
-                    - 2 * (bits & pos).bit_count()
-                    + 2 * (bits & neg).bit_count()
-                )
                 if abs(writhe) > 1:
                     continue
             else:
@@ -131,7 +137,7 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
                     strands,
                     tuple(-x if bits >> c & 1 else x for c, x in enumerate(base)),
                 )
-                if alexander_refutes(word):
+                if refutes_unlink(burau_alexander(word), strands, components, writhe):
                     refuted.add(key)
                     continue
                 verdict = certify_unlink(word).verdict
@@ -143,9 +149,8 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
                     if first_undecided_size is None:
                         first_undecided_size = k
                     continue
-            exact = k if first_undecided_size is None else None
             return SearchReport(
-                exact=exact,
+                exact=k if first_undecided_size in (None, k) else None,
                 lower_bound=k if first_undecided_size is None else first_undecided_size,
                 witness=subset,
                 explored=explored,

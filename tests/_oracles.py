@@ -405,7 +405,7 @@ def brute_force_uR(
                 trivial = cert.verdict is Verdict.CERTIFIED
             if trivial:
                 report = SearchReport(
-                    exact=k if first_undecided_size is None else None,
+                    exact=k if first_undecided_size in (None, k) else None,
                     lower_bound=k if first_undecided_size is None else first_undecided_size,
                     witness=subset,
                     explored=explored,

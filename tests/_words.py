@@ -31,14 +31,17 @@ def braid_words(draw, letters_per_strand=4, min_strands=2, max_strands=8):
 
 
 @st.composite
-def signed_runs(draw, letters_per_strand=10, max_strands=14):
+def signed_runs(draw, letters_per_strand=10, max_strands=14, min_letters=0):
     """A word on 1..max_strands strands whose letters come in runs of one
     sign: the sign changes only at drawn positions, so a word with no
-    change (what shrinking tends to) is all positive or all negative."""
+    change (what shrinking tends to) is all positive or all negative.
+    Words on two or more strands have at least ``min_letters`` letters,
+    or ``letters_per_strand`` per strand if that is fewer."""
     p = draw(st.integers(1, max_strands))
     if p == 1:
         return BraidWord(1)
-    gens = draw(st.lists(st.integers(1, p - 1), max_size=letters_per_strand * p))
+    most = letters_per_strand * p
+    gens = draw(st.lists(st.integers(1, p - 1), min_size=min(min_letters, most), max_size=most))
     changes = draw(st.sets(st.integers(0, max(len(gens) - 1, 0))))
     sign = draw(st.sampled_from((1, -1)))
     letters = []

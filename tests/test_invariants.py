@@ -5,7 +5,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 import _oracles
 from _oracles import conjugate, cyclic_shift, dict_bracket, naive_bracket, pack, slot_repack
@@ -197,6 +197,51 @@ def test_bracket_is_exact_when_the_slots_are_tight(monkeypatch):
     for p, q in TORUS_KNOTS:
         w = toric_braid(p, q)
         assert kauffman_bracket(w) == dict_bracket(w), (p, q)
+
+
+# Runs of either sign, so the sweep's guard slots run out and are refilled
+# several times; the oracle takes up to a second on 8 strands.
+@settings(deadline=None, max_examples=40)
+@given(signed_runs(letters_per_strand=5, max_strands=8, min_letters=20))
+def test_bracket_matches_dict_sweep_on_signed_runs(w):
+    assert kauffman_bracket(w) == dict_bracket(w)
+
+
+def test_guard_refills_on_fresh_partial_tables():
+    rng = random.Random(43)
+    w = BraidWord(7, tuple(-rng.randint(1, 6) if rng.random() < 0.8 else 3 for _ in range(24)))
+    invariants._matchings.cache_clear()
+    try:
+        value = kauffman_bracket(w)
+        assert invariants._matchings(7).unregistered is not None  # tables still partial
+    finally:
+        invariants._matchings.cache_clear()
+    assert value == dict_bracket(w)
+
+
+def test_negative_letter_right_after_a_repack(monkeypatch):
+    # No headroom: the sweep repacks every few letters, which empties the
+    # guard, and in an all-negative word the next letter must refill it.
+    monkeypatch.setattr(invariants, "_HEADROOM_BITS", 0)
+    repacks = []
+    repack = invariants._repack
+
+    def recorded(v, width):
+        repacks.append(width)
+        return repack(v, width)
+
+    monkeypatch.setattr(invariants, "_repack", recorded)
+    for w in (toric_braid(4, 9).mirror(), parse_word("-1 -2 -3 -1 -2 -3 -2 -1 -3 -3 -2 -1")):
+        repacks.clear()
+        assert kauffman_bracket(w) == dict_bracket(w), w
+        assert len(repacks) >= 2
+
+
+@given(signed_runs(letters_per_strand=8, max_strands=9))
+def test_bracket_of_the_mirror_swaps_A_and_its_inverse(w):
+    # mirroring swaps the positive and the negative letter's sweep
+    expected = LaurentPoly({-e: c for e, c in kauffman_bracket(w).coefficients().items()})
+    assert kauffman_bracket(w.mirror()) == expected
 
 
 def test_strand_guard():

@@ -134,21 +134,62 @@ def test_memo_reuses_only_refutations(monkeypatch):
             verdict = Verdict.REFUTED
         return UnlinkCertificate(verdict, 1, None, ())
 
-    monkeypatch.setattr(search, "alexander_refutes", lambda w: False)
+    monkeypatch.setattr(search, "refutes_unlink", lambda *args: False)
     monkeypatch.setattr(search, "certify_unlink", fake_certify)
     monkeypatch.setattr(_oracles, "certify_unlink", fake_certify)
     report = brute_force_uR(diagram, k_max)
     expected, _ = _oracles.brute_force_uR(diagram, k_max)
     assert report == expected
     assert report.witness == subset
-    assert report.exact is None and report.inconclusive >= 1
+    # the inconclusive rotations have the witness's size, so it is exact
+    assert report.inconclusive >= 1
+    assert report.exact == len(subset)
+
+
+@pytest.mark.parametrize("undecided_size", [1, 2])
+def test_exact_unless_an_undecided_subset_is_smaller(monkeypatch, undecided_size):
+    # The certifier is inconclusive on the first subset of undecided_size
+    # whose word opens a new rotation class, certifies the first size-2
+    # subset after it that opens one, and refutes every other word.  Only
+    # a smaller undecided subset leaves the witness's size unproven.
+    diagram = close_braid(toric_braid(3, 4))
+    ids = range(1, len(diagram.regions) + 1)
+    seen, picked = set(), []
+    for subset in (s for k in range(3) for s in combinations(ids, k)):
+        key = min(_rotations(diagram.region_crossing_changes(subset).word().letters))
+        size = 2 if picked else undecided_size
+        if key not in seen and len(subset) == size and len(picked) < 2:
+            picked.append((subset, key))
+        seen.add(key)
+    (_, undecided), (witness, certified) = picked
+
+    def fake_certify(w):
+        key = min(_rotations(w.letters))
+        if key == certified:
+            verdict = Verdict.CERTIFIED
+        elif key == undecided:
+            verdict = Verdict.INCONCLUSIVE
+        else:
+            verdict = Verdict.REFUTED
+        return UnlinkCertificate(verdict, 1, None, ())
+
+    monkeypatch.setattr(search, "refutes_unlink", lambda *args: False)
+    monkeypatch.setattr(search, "certify_unlink", fake_certify)
+    monkeypatch.setattr(_oracles, "certify_unlink", fake_certify)
+    report = brute_force_uR(diagram, 3)
+    expected, _ = _oracles.brute_force_uR(diagram, 3)
+    assert report == expected
+    assert report.witness == witness
+    assert report.inconclusive >= 1
+    assert report.lower_bound == undecided_size
+    assert report.exact == (2 if undecided_size == 2 else None)
 
 
 def test_search_matches_oracle_without_rotation_symmetry(monkeypatch):
     # Period L: each key is the flip int itself, so the memo skips only
     # subsets whose flips repeat an earlier subset's (they differ by a
     # kernel element).  Mostly positive letters keep u_R above 1.
-    refuter_calls = _record_calls(monkeypatch, "alexander_refutes")
+    refuter_calls = _record_calls(monkeypatch, "burau_alexander")
     rng = random.Random(29)
     checked = deep = oracle_words = 0
     while checked < 20:
@@ -173,7 +214,7 @@ def test_search_matches_oracle_without_rotation_symmetry(monkeypatch):
 
 
 def test_memo_cuts_refuter_calls_on_the_probe_set(monkeypatch):
-    refuter_calls = _record_calls(monkeypatch, "alexander_refutes")
+    refuter_calls = _record_calls(monkeypatch, "burau_alexander")
     certifier_calls = _record_calls(monkeypatch, "certify_unlink")
     reports = [sharpness_probe(spec).search for spec in PROBE_SPECS]
     assert sum(r.explored for r in reports if r is not None) == 3140
