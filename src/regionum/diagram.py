@@ -1,19 +1,16 @@
-"""Closed-braid planar diagrams: combinatorial map, regions, region crossing
-change, the GF(2) incidence system, and linking data.
+"""Closed-braid planar diagrams: regions, region crossing change, the GF(2)
+incidence system, and linking data.
 
 The diagram of the closure of a braid word has one crossing per letter.
-Crossing ids are the 0-based letter positions.  Half-edges are encoded as
-``4 * crossing + port`` with ports in counterclockwise order::
-
-    3 TL   2 TR
-       \\   /
-        \\ /
-        / \\
-    0 BL   1 BR
-
-Strands run bottom to top; the closure joins the top of each column to its
-bottom.  Faces are the orbits of (rotation o edge-involution); for a
-connected diagram there are ``crossings + 2`` of them (sphere Euler count).
+Crossing ids are the 0-based letter positions.  Strands run bottom to top
+at positions 1..p, and the closure joins the top of each position to its
+bottom.  Gap j lies between positions j and j + 1; gaps 0 and p are the
+two sides of the diagram.  The letter sigma_j^(+-1) crosses in gap j and
+has four corners: its bottom and top corners lie in gap j, its left corner
+in gap j - 1 and its right corner in gap j + 1.  Every face lies in one
+gap.  A small face of gap j runs from one sigma_j up to the next one, and
+gaps 0 and p are each one side face, so a connected diagram has
+``crossings + 2`` faces (sphere Euler count).
 """
 
 from __future__ import annotations
@@ -23,8 +20,6 @@ import json
 from math import gcd
 
 from .braid import BraidWord
-
-BL, BR, TR, TL = 0, 1, 2, 3
 
 
 class DisconnectedDiagramError(ValueError):
@@ -36,7 +31,11 @@ class Region:
     """A face of the diagram.
 
     ``corners`` lists one crossing id per face corner, so a crossing touched
-    at two corners appears twice.
+    at two corners appears twice.  A small face lists its corners bottom to
+    top: the crossing that opens it (its id - 1), the side corners in word
+    order from there, across the seam if the face crosses it, and last the
+    crossing that closes it.  A side face lists its corners in word order.
+    Ids follow :func:`close_braid`: small faces first, by opening crossing.
     """
 
     id: int
@@ -150,20 +149,26 @@ class PlanarDiagram:
         )
 
 
-def _column_touches(w: BraidWord) -> list[list[tuple[int, int, int]]]:
-    """For each column (0-based), the crossings touching it in time order as
-    (crossing, bottom_port, top_port)."""
-    touches: list[list[tuple[int, int, int]]] = [[] for _ in range(w.strands)]
-    for c, x in enumerate(w.letters):
-        i = abs(x) - 1
-        touches[i].append((c, BL, TL))
-        touches[i + 1].append((c, BR, TR))
-    return touches
-
-
 def close_braid(w: BraidWord) -> PlanarDiagram:
     """Build the closed-braid diagram of a nonempty word using every
-    generator (otherwise the diagram is disconnected)."""
+    generator (otherwise the diagram is disconnected).
+
+    Each face is read off the word in one pass.  In gap j, sigma_j closes
+    the face below it with its bottom corner and opens the face above it
+    with its top corner, while sigma_(j-1) and sigma_(j+1) add their right
+    and left corners to the face being read.  The face opened by the last
+    sigma_j in gap j crosses the seam: it goes on with what gap j read
+    before its first sigma_j.
+
+    Numbering: the small face that crossing c opens is region c + 1, and
+    the side faces of gaps 0 and p are regions crossings + 1 and
+    crossings + 2.  The arithmetic region-set schedules in
+    :mod:`regionum.bounds` rely on this.  On the standard diagram of
+    K(p,q) with q >= 3 it is the same as anchoring each small face at the
+    corner after the largest cyclic gap between its corner positions: a
+    small face spans p - 1 letters of a word of q(p - 1), so the gap across
+    the seam is the largest, and the corner after it is the opening one.
+    """
     if not w.letters:
         raise DisconnectedDiagramError("empty word closes to disjoint circles")
     used = {abs(x) for x in w.letters}
@@ -173,26 +178,26 @@ def close_braid(w: BraidWord) -> PlanarDiagram:
             f"generator(s) {missing} never occur: the closure is split"
         )
 
-    n_half = 4 * len(w.letters)
-    alpha = [-1] * n_half
-    for column in _column_touches(w):
-        k = len(column)
-        for t in range(k):
-            c_top, _, top_port = column[t]
-            c_bot, bot_port, _ = column[(t + 1) % k]
-            h1 = 4 * c_top + top_port
-            h2 = 4 * c_bot + bot_port
-            alpha[h1] = h2
-            alpha[h2] = h1
-    assert all(h >= 0 for h in alpha)
-
-    faces = _trace_faces(alpha)
-    if len(faces) != len(w.letters) + 2:
-        raise DisconnectedDiagramError(
-            f"face count {len(faces)} != crossings + 2; diagram is not planar/connected"
-        )
-    regions = _number_regions(w, faces)
-    rows = tuple(sum(1 << c for c in set(r.corners)) for r in regions)
+    length = len(w.letters)
+    faces: list[list[int]] = [[] for _ in range(length + 2)]
+    # reading[j]: the face being read in gap j; in gaps 1..p-1 it starts
+    # as the part of the seam face below the first sigma_j
+    reading = [faces[length]] + [[] for _ in range(w.strands - 1)] + [faces[length + 1]]
+    below_first = reading[:]
+    for c, x in enumerate(w.letters):
+        j = abs(x)
+        reading[j - 1].append(c)  # left corner
+        reading[j + 1].append(c)  # right corner
+        reading[j].append(c)  # bottom corner closes the face below
+        reading[j] = faces[c]
+        faces[c].append(c)  # top corner opens region c + 1
+    for j in range(1, w.strands):
+        reading[j] += below_first[j]
+    regions = tuple(
+        Region(id=k + 1, corners=tuple(f), is_outer=k >= length)
+        for k, f in enumerate(faces)
+    )
+    rows = tuple(sum(1 << c for c in set(f)) for f in faces)
 
     perm = w.permutation()
     component_of_strand = [-1] * w.strands
@@ -210,91 +215,10 @@ def close_braid(w: BraidWord) -> PlanarDiagram:
         strands=w.strands,
         generators=tuple(abs(x) for x in w.letters),
         signs=tuple(1 if x > 0 else -1 for x in w.letters),
-        regions=tuple(regions),
+        regions=regions,
         rows=rows,
         component_of_strand=tuple(component_of_strand),
     )
-
-
-def _trace_faces(alpha: list[int]) -> list[list[int]]:
-    """Faces as orbits of h -> rot(alpha(h)), rot = next port counterclockwise."""
-    n = len(alpha)
-    seen = [False] * n
-    faces = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        h = start
-        while not seen[h]:
-            seen[h] = True
-            orbit.append(h)
-            h2 = alpha[h]
-            h = (h2 & ~3) | ((h2 + 1) & 3)
-        faces.append(orbit)
-    return faces
-
-
-def _number_regions(w: BraidWord, faces: list[list[int]]) -> list[Region]:
-    """Assign deterministic 1-based ids.
-
-    Each small face is anchored at the corner that follows the largest gap
-    when its corner crossings are read cyclically along the word; ids are
-    the anchors' 1-based letter positions.  The two large side faces get
-    the last two ids (left side first).  This convention was calibrated so
-    the arithmetic region-set schedules in :mod:`regionum.bounds` land on
-    the intended faces.  Small faces are numbered in order of (anchor,
-    half-edge orbit).  On the standard diagram of every K(p,q) with
-    p = 2..15, 2 <= q < 8p other than K(2,2) the anchors are pairwise
-    distinct, so each small face's id is its anchor, which the schedules
-    rely on.  Anchors can coincide elsewhere (K(2,2), about half of
-    random connected words); the orbit then breaks the tie, and ids stay
-    1..crossings.
-    """
-    gens = [abs(x) for x in w.letters]
-    length = len(gens)
-    top = max(gens)
-    left_face = None
-    right_face = None
-    for idx, orbit in enumerate(faces):
-        cols = {gens[h >> 2] for h in orbit}
-        ports = {h & 3 for h in orbit}
-        if cols == {1} and ports <= {BL, TL}:
-            left_face = idx
-        if cols == {top} and ports <= {BR, TR}:
-            right_face = idx
-    if left_face is None or right_face is None or left_face == right_face:
-        raise AssertionError("could not identify the two side faces")
-
-    anchored: list[tuple[int, list[int]]] = []
-    for idx, orbit in enumerate(faces):
-        if idx in (left_face, right_face):
-            continue
-        anchored.append((_cyclic_anchor(sorted({h >> 2 for h in orbit}), length), orbit))
-    anchored.sort()
-
-    regions = []
-    for rid, (_, orbit) in enumerate(anchored, start=1):
-        regions.append(Region(id=rid, corners=tuple(h >> 2 for h in orbit), is_outer=False))
-    for rid, idx in ((len(anchored) + 1, left_face), (len(anchored) + 2, right_face)):
-        regions.append(
-            Region(id=rid, corners=tuple(h >> 2 for h in faces[idx]), is_outer=True)
-        )
-    return regions
-
-
-def _cyclic_anchor(corners: list[int], length: int) -> int:
-    """1-based letter position of the corner following the largest cyclic
-    gap of the sorted corner positions (ties broken toward the smallest)."""
-    best_gap = -1
-    anchor = corners[0]
-    for k, c in enumerate(corners):
-        prev = corners[k - 1]
-        gap = (c - prev) % length or length
-        if gap > best_gap:
-            best_gap = gap
-            anchor = c
-    return anchor + 1
 
 
 def toric_diagram(p: int, q: int) -> PlanarDiagram:

@@ -180,7 +180,10 @@ def sharpness_probe(spec: TorusLinkSpec) -> SharpnessProbe:
     """Compare the exact search against the smallest theorem bound on the
     standard diagram of a small torus link."""
     if spec.crossings > 16:
-        raise ValueError("probe restricted to diagrams with <= 16 crossings")
+        raise ValueError(
+            f"K({spec.p},{spec.q}) has {spec.crossings} crossings; "
+            "the probe is limited to 16"
+        )
     if not is_proper(spec.p, spec.q):
         return SharpnessProbe(
             spec=spec, proper=False, theorem_bound=None, search=None,

@@ -15,6 +15,9 @@ the test suite checks through the Jones polynomial and component counts.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 from .braid import BraidWord, toric_braid
 
 
@@ -31,16 +34,13 @@ def nu(p: int, i: int) -> BraidWord:
 
 
 def _product(words) -> BraidWord:
-    out = None
-    for w in words:
-        out = w if out is None else out * w
-    if out is None:
-        raise ValueError("empty product")
-    return out
+    return reduce(operator.mul, words)
 
 
 def staircase_word(p: int) -> BraidWord:
     """mu_1 mu_2 ... mu_p; a trivial p-braid."""
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
     return _product(mu(p, i) for i in range(1, p + 1))
 
 

@@ -30,6 +30,14 @@ Burau-Alexander refuter went in front of the certifier: it builds each
 subset's diagram through ``region_crossing_changes`` and sends every
 word on more than two strands to ``certify_unlink``.  The package's
 search must give the same reports.
+
+``close_braid`` is the diagram builder as it was before it read each face
+off the word: it pairs half-edges along each column, traces faces as
+orbits, finds the two side faces by their ports, and numbers the small
+faces by the corner after the largest cyclic gap between their corner
+positions (``_cyclic_anchor``), breaking ties by orbit.  The package's
+builder must give the same faces and rows, and on the standard diagrams
+the same ids, corner multisets and components.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from regionum.braid import (
     _free_reduce_list,
     free_reduce,
 )
-from regionum.diagram import PlanarDiagram
+from regionum.diagram import DisconnectedDiagramError, PlanarDiagram, Region
 from regionum.invariants import (
     BURAU_PRIME,
     BURAU_T,
@@ -420,3 +428,163 @@ def brute_force_uR(
         inconclusive=undecided,
     )
     return report, checked
+
+
+# Half-edges are encoded as ``4 * crossing + port`` with ports in
+# counterclockwise order::
+#
+#     3 TL   2 TR
+#        \   /
+#         \ /
+#         / \
+#     0 BL   1 BR
+#
+# Faces are the orbits of (rotation o edge-involution).
+BL, BR, TR, TL = 0, 1, 2, 3
+
+
+def _column_touches(w: BraidWord) -> list[list[tuple[int, int, int]]]:
+    """For each column (0-based), the crossings touching it in time order as
+    (crossing, bottom_port, top_port)."""
+    touches: list[list[tuple[int, int, int]]] = [[] for _ in range(w.strands)]
+    for c, x in enumerate(w.letters):
+        i = abs(x) - 1
+        touches[i].append((c, BL, TL))
+        touches[i + 1].append((c, BR, TR))
+    return touches
+
+
+def close_braid(w: BraidWord) -> PlanarDiagram:
+    """Build the closed-braid diagram of a nonempty word using every
+    generator (otherwise the diagram is disconnected)."""
+    if not w.letters:
+        raise DisconnectedDiagramError("empty word closes to disjoint circles")
+    used = {abs(x) for x in w.letters}
+    missing = [j for j in range(1, w.strands) if j not in used]
+    if missing:
+        raise DisconnectedDiagramError(
+            f"generator(s) {missing} never occur: the closure is split"
+        )
+
+    n_half = 4 * len(w.letters)
+    alpha = [-1] * n_half
+    for column in _column_touches(w):
+        k = len(column)
+        for t in range(k):
+            c_top, _, top_port = column[t]
+            c_bot, bot_port, _ = column[(t + 1) % k]
+            h1 = 4 * c_top + top_port
+            h2 = 4 * c_bot + bot_port
+            alpha[h1] = h2
+            alpha[h2] = h1
+    assert all(h >= 0 for h in alpha)
+
+    faces = _trace_faces(alpha)
+    if len(faces) != len(w.letters) + 2:
+        raise DisconnectedDiagramError(
+            f"face count {len(faces)} != crossings + 2; diagram is not planar/connected"
+        )
+    regions = _number_regions(w, faces)
+    rows = tuple(sum(1 << c for c in set(r.corners)) for r in regions)
+
+    perm = w.permutation()
+    component_of_strand = [-1] * w.strands
+    comp = 0
+    for start in range(w.strands):
+        if component_of_strand[start] >= 0:
+            continue
+        j = start
+        while component_of_strand[j] < 0:
+            component_of_strand[j] = comp
+            j = perm[j]
+        comp += 1
+
+    return PlanarDiagram(
+        strands=w.strands,
+        generators=tuple(abs(x) for x in w.letters),
+        signs=tuple(1 if x > 0 else -1 for x in w.letters),
+        regions=tuple(regions),
+        rows=rows,
+        component_of_strand=tuple(component_of_strand),
+    )
+
+
+def _trace_faces(alpha: list[int]) -> list[list[int]]:
+    """Faces as orbits of h -> rot(alpha(h)), rot = next port counterclockwise."""
+    n = len(alpha)
+    seen = [False] * n
+    faces = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        orbit = []
+        h = start
+        while not seen[h]:
+            seen[h] = True
+            orbit.append(h)
+            h2 = alpha[h]
+            h = (h2 & ~3) | ((h2 + 1) & 3)
+        faces.append(orbit)
+    return faces
+
+
+def _number_regions(w: BraidWord, faces: list[list[int]]) -> list[Region]:
+    """Assign deterministic 1-based ids.
+
+    Each small face is anchored at the corner that follows the largest gap
+    when its corner crossings are read cyclically along the word; ids are
+    the anchors' 1-based letter positions.  The two large side faces get
+    the last two ids (left side first).  This convention was calibrated so
+    the arithmetic region-set schedules in :mod:`regionum.bounds` land on
+    the intended faces.  Small faces are numbered in order of (anchor,
+    half-edge orbit).  On the standard diagram of every K(p,q) with
+    p = 2..15, 2 <= q < 8p other than K(2,2) the anchors are pairwise
+    distinct, so each small face's id is its anchor, which the schedules
+    rely on.  Anchors can coincide elsewhere (K(2,2), about half of
+    random connected words); the orbit then breaks the tie, and ids stay
+    1..crossings.
+    """
+    gens = [abs(x) for x in w.letters]
+    length = len(gens)
+    top = max(gens)
+    left_face = None
+    right_face = None
+    for idx, orbit in enumerate(faces):
+        cols = {gens[h >> 2] for h in orbit}
+        ports = {h & 3 for h in orbit}
+        if cols == {1} and ports <= {BL, TL}:
+            left_face = idx
+        if cols == {top} and ports <= {BR, TR}:
+            right_face = idx
+    if left_face is None or right_face is None or left_face == right_face:
+        raise AssertionError("could not identify the two side faces")
+
+    anchored: list[tuple[int, list[int]]] = []
+    for idx, orbit in enumerate(faces):
+        if idx in (left_face, right_face):
+            continue
+        anchored.append((_cyclic_anchor(sorted({h >> 2 for h in orbit}), length), orbit))
+    anchored.sort()
+
+    regions = []
+    for rid, (_, orbit) in enumerate(anchored, start=1):
+        regions.append(Region(id=rid, corners=tuple(h >> 2 for h in orbit), is_outer=False))
+    for rid, idx in ((len(anchored) + 1, left_face), (len(anchored) + 2, right_face)):
+        regions.append(
+            Region(id=rid, corners=tuple(h >> 2 for h in faces[idx]), is_outer=True)
+        )
+    return regions
+
+
+def _cyclic_anchor(corners: list[int], length: int) -> int:
+    """1-based letter position of the corner following the largest cyclic
+    gap of the sorted corner positions (ties broken toward the smallest)."""
+    best_gap = -1
+    anchor = corners[0]
+    for k, c in enumerate(corners):
+        prev = corners[k - 1]
+        gap = (c - prev) % length or length
+        if gap > best_gap:
+            best_gap = gap
+            anchor = c
+    return anchor + 1

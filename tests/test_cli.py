@@ -172,6 +172,8 @@ def test_unknown_command_exits_with_argparse_error(capsys):
         (["jones", "1", "--strands", "13"], None),
         (["brute", "2", "5", "--max-k", "-5"], None),
         (["proper", "0", "0"], None),
+        (["word", "--family", "staircase", "--p", "0"], None),
+        (["word", "--family", "mirror_staircase", "--p", "0"], None),
     ],
 )
 def test_bad_input_is_refused_in_one_line(capsys, argv, _):
@@ -181,3 +183,15 @@ def test_bad_input_is_refused_in_one_line(capsys, argv, _):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"{argv[0]}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["probe", "4", "6"], "probe: K(4,6) has 18 crossings; the probe is limited to 16\n"),
+        (["word", "--family", "staircase", "--p", "0"], "word: need p >= 1, got 0\n"),
+        (["word", "--family", "mirror_staircase", "--p", "0"], "word: need p >= 1, got 0\n"),
+    ],
+)
+def test_refusal_names_the_value(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)

@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
+import _oracles
 from _words import random_connected_word
-from regionum import diagram
 from regionum.braid import BraidWord, parse_word, toric_braid
 from regionum.diagram import (
     DisconnectedDiagramError,
@@ -18,7 +18,7 @@ from regionum.gf2 import select_bits, solution_coset
 
 def _anchors(d):
     return [
-        diagram._cyclic_anchor(sorted(set(r.corners)), d.crossings)
+        _oracles._cyclic_anchor(sorted(set(r.corners)), d.crossings)
         for r in d.regions
         if not r.is_outer
     ]
@@ -32,21 +32,57 @@ def test_standard_diagram_ids_are_face_anchors():
             assert _anchors(d) == list(range(1, d.crossings + 1)), (p, q)
 
 
-def test_tied_face_anchors_are_broken_by_orbit(monkeypatch):
+def test_region_ids_follow_opening_crossings():
+    for w in (toric_braid(2, 2), toric_braid(3, 4), parse_word("1 -2 -1 3 2 2 -3 1")):
+        d = close_braid(w)
+        length = len(w.letters)
+        assert [r.id for r in d.regions] == list(range(1, length + 3))
+        assert [r.is_outer for r in d.regions] == [False] * length + [True, True]
+        for r in d.regions[:length]:
+            # region c + 1 opens at crossing c and closes at the next
+            # letter of the same generator, cyclically
+            c = r.id - 1
+            g = d.generators[c]
+            after = [k for k in range(c + 1, length) if d.generators[k] == g]
+            before = [k for k in range(c + 1) if d.generators[k] == g]
+            assert (r.corners[0], r.corners[-1]) == (c, (after + before)[0])
     # K(2,2): both bigons have corners {0, 1}, so both anchor at letter 1
     d = toric_diagram(2, 2)
     assert _anchors(d) == [1, 1]
     assert [r.id for r in d.regions] == [1, 2, 3, 4]
-    # with every anchor tied, the numbering is still a deterministic
-    # relabelling of the same faces
-    expected = close_braid(toric_braid(3, 4))
-    monkeypatch.setattr(diagram, "_cyclic_anchor", lambda corners, length: 1)
-    tied = close_braid(toric_braid(3, 4))
-    assert tied == close_braid(toric_braid(3, 4))
-    assert sorted(r.corners for r in tied.regions) == sorted(
-        r.corners for r in expected.regions
+
+
+def _faces(d):
+    return sorted(
+        (tuple(sorted(r.corners)), r.is_outer, row) for r, row in zip(d.regions, d.rows)
     )
-    assert [r.id for r in tied.regions] == list(range(1, len(tied.regions) + 1))
+
+
+def test_close_braid_matches_reference_on_standard_diagrams():
+    for p in range(2, 9):
+        for q in range(1 if p > 2 else 2, 8 * p):
+            w = toric_braid(p, q)
+            d, ref = close_braid(w), _oracles.close_braid(w)
+            assert [(r.id, sorted(r.corners), r.is_outer) for r in d.regions] == [
+                (r.id, sorted(r.corners), r.is_outer) for r in ref.regions
+            ], (p, q)
+            assert d.rows == ref.rows, (p, q)
+            assert d.component_of_strand == ref.component_of_strand, (p, q)
+
+
+def test_close_braid_matches_reference_faces_on_random_words():
+    rng = random.Random(29)
+    two_strand = single_letter = 0
+    for _ in range(200):
+        p = rng.randint(2, 6)
+        w = random_connected_word(rng, p, rng.randint(p - 1, 4 * p))
+        d, ref = close_braid(w), _oracles.close_braid(w)
+        assert _faces(d) == _faces(ref), w
+        assert d.component_of_strand == ref.component_of_strand, w
+        two_strand += p == 2
+        gens = [abs(x) for x in w.letters]
+        single_letter += any(gens.count(g) == 1 for g in gens)
+    assert two_strand and single_letter
 
 
 def test_close_braid_rejects_disconnected():
