@@ -197,7 +197,12 @@ def close_braid(w: BraidWord) -> PlanarDiagram:
         Region(id=k + 1, corners=tuple(f), is_outer=k >= length)
         for k, f in enumerate(faces)
     )
-    rows = tuple(sum(1 << c for c in set(f)) for f in faces)
+    rows = []
+    for f in faces:
+        row = 0
+        for c in f:
+            row |= 1 << c
+        rows.append(row)
 
     perm = w.permutation()
     component_of_strand = [-1] * w.strands
@@ -216,7 +221,7 @@ def close_braid(w: BraidWord) -> PlanarDiagram:
         generators=tuple(abs(x) for x in w.letters),
         signs=tuple(1 if x > 0 else -1 for x in w.letters),
         regions=regions,
-        rows=rows,
+        rows=tuple(rows),
         component_of_strand=tuple(component_of_strand),
     )
 

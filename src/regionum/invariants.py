@@ -1,10 +1,11 @@
 """Closure-level triviality oracle: Kauffman bracket by sweeping a braid
-word through the Temperley-Lieb algebra, Jones polynomial, an exact
-Alexander refuter (the reduced Burau determinant det(I - B(w)) at a fixed
-point modulo a 61-bit prime, which works at any strand count), and an
-unlink certificate combining these with word reduction.  The certifier
-runs Jones up to ``MAX_STRANDS`` strands and the refuter above it; the
-u_R search sends every word to the refuter before the certifier.
+word through the cell modules of the Temperley-Lieb algebra, Jones
+polynomial, an exact Alexander refuter (the reduced Burau determinant
+det(I - B(w)) at a fixed point modulo a 61-bit prime, which works at any
+strand count), and an unlink certificate combining these with word
+reduction.  The certifier runs Jones up to ``MAX_STRANDS`` strands and the
+refuter above it; the u_R search sends every word to the refuter before
+the certifier.
 
 Conventions (fixed once, documented here):
 
@@ -13,9 +14,36 @@ Conventions (fixed once, documented here):
   crossing is smoothed, a negative letter the A <-> A^-1 swap (this makes
   the closure of sigma_1^3 evaluate to -t^-4 + t^-3 + t^-1);
 * the bracket of the unknot is 1 and every extra loop multiplies by
-  -A^2 - A^-2;
+  delta = -A^2 - A^-2;
 * jones(w) = (-A^3)^(-writhe) * bracket(w), with t = A^-4 applied only at
   display time.
+
+The bracket sweep.  Smoothing every crossing maps the word to an element
+x of TL_p, and the bracket is tr(x) / delta, where the Markov trace tr
+sends a diagram to delta^(loops of its trace closure).  The trace splits
+over the cell modules V_j, one for each number j of defects (j = p, p-2,
+...): tr = sum_j Delta_j Tr rho_j, with Delta_j = (-1)^j [j+1] the
+Chebyshev values Delta_0 = 1, Delta_1 = delta, Delta_(j+1) =
+delta Delta_j - Delta_(j-1) (Goodman-de la Harpe-Jones, *Coxeter Graphs
+and Towers of Algebras*, 1989; Ridout-Saint-Aubin, arXiv:1204.4505).  The
+basis of V_j is the half-diagrams with j defects, C(p, (p-j)/2) -
+C(p, (p-j)/2 - 1) of them; all of them together are C(p, floor(p/2)),
+against Catalan(p) matchings for the whole algebra.
+
+The sweep keeps rho_j(x) for every j.  A letter multiplies x on top, so
+rho_j(letter x) = rho_j(letter) rho_j(x): it recombines rows and never
+moves a column.  Each row is therefore one packed int holding all its
+columns (Kronecker substitution): slot s D + B holds the coefficient of
+A^(exp + 2s) in column B, where D is the largest dimension and ``exp`` is
+shared, so multiplying by A^2 is one shift by D slots.  A letter rewrites
+only the rows with a cup at its generator, each from the rows e_i sends
+to it.  Every slot stays exact because the L1 norm over all slots at most
+doubles per letter, and the state is repacked at a width fitting its
+exact norm before the bound could reach a slot's sign bit.  At the end
+each row's diagonal entry is read off, the traces are weighted by
+Delta_j, and the sum is divided by delta exactly: a remainder would be a
+bug and raises, it is never dropped.  :func:`kauffman_bracket` has the
+details.
 
 Chirality of the positive crossing is a convention; every trivial-link
 verification in this package is chirality-independent (the unlink
@@ -28,12 +56,11 @@ import dataclasses
 import enum
 import heapq
 import itertools
-import math
-from array import array
+from collections import Counter
 from functools import lru_cache, reduce
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, and_, lshift, mul, or_, rshift
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .braid import (
     BraidWord,
@@ -47,126 +74,20 @@ from .braid import (
 )
 from .laurent import LOOP, LaurentPoly
 
-MAX_STRANDS = 12  # Catalan(12) = 208012 planar matchings
+MAX_STRANDS = 12  # 924 half-diagrams in 7 cell modules, the largest of 297
 
-# Extra bits of slot width over the measured L1 norm when a state vector is
+# Extra bits of slot width over the measured L1 norm when the state is
 # repacked.  The norm bound doubles per letter, so this many letters pass
 # between two repacks.
 _HEADROOM_BITS = 16
 
-# Empty low slots a negative letter's right shifts may use up before every
-# state is shifted left again; see kauffman_bracket.
-_GUARD_SLOTS = 8
+# Empty low levels (powers of A^2) a negative letter's right shifts may use
+# up before every row is shifted left again; see kauffman_bracket.
+_GUARD_LEVELS = 8
 
-# States rewritten at a time when every state changes, so that the old and
-# the new values of only this many are alive together.
-_CHUNK = 4096
-
-
-class _Matchings:
-    """Temperley-Lieb matchings on ``p`` strands, interned as integer ids
-    when the sweep first reaches them, and the tables the sweep pulls by.
-
-    A matching is a fixed-point-free involution of 0..2p-1 (bottom points
-    0..p-1, top points p..2p-1) stored as ``bytes``; id 0 is the identity.
-    The cup-cap e_i at top points i, i+1 sends a matching with a cup there
-    to itself and a loop, and any other matching to one with a cup there.
-    ``pulls[i]`` maps the id of each matching with a cup at i to the tuple
-    of ids e_i sends to it, and ``groups[i]`` is the same table in the
-    form the sweep reads (see :func:`_group`).  ``loops[sid]`` caches the
-    loop count of the trace closure (-1: not counted yet).
-
-    A matching is registered (entered in every ``pulls[i]``) the first
-    time it carries weight in a sweep, so a sweep builds only what it
-    reaches; ``unregistered[sid]`` is 1 until then.  Meanwhile
-    ``groups[i]`` leaves all of ``pulls[i]`` to the sweep's general loop.
-    Once all Catalan(p) matchings are registered the tables are frozen:
-    every loop count is cached, each ``pulls[i]`` is regrouped and freed in
-    turn, and ``ids``, ``matchings``, ``unregistered`` and ``pulls`` are
-    dropped (set to None).
-    """
-
-    __slots__ = ("p", "ids", "matchings", "loops", "unregistered", "pulls", "groups", "_left")
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-        self.ids: dict[bytes, int] | None = {}
-        self.matchings: list[bytes] | None = []
-        self.loops = array("b")
-        self.unregistered: bytearray | None = bytearray()
-        self.pulls: list[dict[int, tuple[int, ...]]] | None = [{} for _ in range(p - 1)]
-        self.groups: list[_Groups] = [((), (), (), pull) for pull in self.pulls]
-        self._left = math.comb(2 * p, p) // (p + 1)  # matchings not registered
-        self.register(self._intern(bytes([*range(p, 2 * p), *range(p)])))
-
-    def _intern(self, m: bytes) -> int:
-        """Give the new matching ``m`` the next id."""
-        sid = len(self.matchings)
-        self.ids[m] = sid
-        self.matchings.append(m)
-        self.loops.append(-1)
-        self.unregistered.append(1)
-        return sid
-
-    def register(self, sid: int) -> None:
-        """Enter ``sid`` in every pull table, interning each of its cup-cap
-        images the first time it is reached."""
-        p = self.p
-        m = self.matchings[sid]
-        ids = self.ids
-        for i, pull in enumerate(self.pulls):
-            a = m[p + i]
-            if a == p + i + 1:
-                pull.setdefault(sid, ())
-                continue
-            b = m[p + i + 1]
-            new = bytearray(m)
-            new[p + i] = p + i + 1
-            new[p + i + 1] = p + i
-            new[a] = b
-            new[b] = a
-            image = bytes(new)
-            t = ids.get(image)
-            if t is None:
-                t = self._intern(image)
-            pull[t] = pull.get(t, ()) + (sid,)
-        self.unregistered[sid] = 0
-        self._left -= 1
-        if not self._left:
-            self._freeze()
-
-    def _freeze(self) -> None:
-        for sid in range(len(self.loops)):
-            self.closure_loops(sid)
-        for i in range(self.p - 1):
-            self.groups[i] = _group(self.pulls[i])
-            self.pulls[i] = None
-        self.ids = self.matchings = self.unregistered = self.pulls = None
-
-    def closure_loops(self, sid: int) -> int:
-        k = self.loops[sid]
-        if k < 0:
-            p = self.p
-            m = self.matchings[sid]
-            seen = [False] * (2 * p)
-            k = 0
-            for start in range(2 * p):
-                if seen[start]:
-                    continue
-                k += 1
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    j = m[j]
-                    seen[j] = True
-                    j = j + p if j < p else j - p  # trace closure arc
-            self.loops[sid] = k
-        return k
-
-
-@lru_cache(maxsize=None)
-def _matchings(p: int) -> _Matchings:
-    return _Matchings(p)
+# Rows rewritten at a time when every row changes, so that the old and the
+# new values of only this many are alive together.
+_CHUNK = 16
 
 
 # One generator's pull table: flat records (c, a), (c, a, b) and
@@ -175,8 +96,60 @@ def _matchings(p: int) -> _Matchings:
 _Groups = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, tuple[int, ...]]]
 
 
-def _group(pull: dict[int, tuple[int, ...]]) -> _Groups:
-    """``pull`` as :data:`_Groups`, each part in id order."""
+class _Cells(NamedTuple):
+    """The cell modules of TL_p and the tables the sweep pulls by.
+
+    A half-diagram on p points pairs some of them by non-crossing arcs and
+    leaves the rest as defects, none under an arc; it is a tuple of each
+    point's partner, -1 for a defect.  The half-diagrams with j defects
+    are the basis of the cell module V_j, and the sweep's rows are all of
+    them, module by module: ``modules`` lists (j, dim V_j) in row order,
+    and a row's column is its position in its module.  ``columns`` is the
+    largest dimension.  ``groups[i]`` maps each row with an arc at i, i+1
+    (a cup at i) to the other rows e_i sends to it, in the form the sweep
+    reads (see :func:`_group`).
+    """
+
+    columns: int
+    modules: tuple[tuple[int, int], ...]
+    groups: tuple[_Groups, ...]
+
+
+@lru_cache(maxsize=None)
+def _cells(p: int) -> _Cells:
+    grown: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]  # (partners, open arcs)
+    for k in range(p):
+        states, grown = grown, []
+        for s, open_ in states:
+            if not open_:  # no defect under an arc
+                grown.append((s + (-1,), open_))
+            if len(open_) < p - k - 1:
+                grown.append((s + (-1,), open_ + (k,)))
+            if open_:
+                a = open_[-1]
+                grown.append((s[:a] + (k,) + s[a + 1 :] + (a,), open_[:-1]))
+    states = sorted((s for s, _ in grown), key=lambda s: s.count(-1))
+    ids = {s: n for n, s in enumerate(states)}
+    pulls: list[dict[int, list[int]]] = [{} for _ in range(p - 1)]
+    for t, s in enumerate(states):
+        for i, pull in enumerate(pulls):
+            a, b = s[i], s[i + 1]
+            if a == i + 1:  # a cup at i: e_i sends t to itself and a loop
+                pull.setdefault(t, [])
+            elif a >= 0 or b >= 0:  # e_i joining two defects is 0 on V_j
+                image = list(s)
+                image[i], image[i + 1] = i + 1, i
+                if a >= 0:
+                    image[a] = b
+                if b >= 0:
+                    image[b] = a
+                pull.setdefault(ids[tuple(image)], []).append(t)
+    dims = Counter(s.count(-1) for s in states)
+    return _Cells(max(dims.values()), tuple(sorted(dims.items())), tuple(map(_group, pulls)))
+
+
+def _group(pull: dict[int, list[int]]) -> _Groups:
+    """``pull`` as :data:`_Groups`, each part in row order."""
     flat: tuple[list[int], ...] = ([], [], [])
     rest = {}
     for c in sorted(pull):
@@ -188,41 +161,41 @@ def _group(pull: dict[int, tuple[int, ...]]) -> _Groups:
     return (*map(tuple, flat), rest)
 
 
-def _pull(v: list[int], groups: _Groups, width: int, right: bool) -> None:
+def _pull(v: list[int], groups: _Groups, shift: int, right: bool) -> None:
     """Apply one scaled letter to its cup rows in place: for every cup c
     in ``groups``, with s the sum of ``v`` over c's preimages, set
-    ``v[c]`` to (s << width) - (v[c] << 2 width), or with ``right`` to
-    (s >> width) - (v[c] >> 2 width).  A preimage has no cup, so it is
+    ``v[c]`` to (s << shift) - (v[c] << 2 shift), or with ``right`` to
+    (s >> shift) - (v[c] >> 2 shift).  A preimage has no cup, so it is
     read before any write can reach it.  Most cups have 1 to 3 preimages;
     their loops are spelt out, which saves a call per cup, and so are the
     two directions, which saves a call per shift."""
     ones, twos, threes, rest = groups
-    keep = 2 * width
+    keep = 2 * shift
     get = v.__getitem__
     if right:
         it = iter(ones)
         for c, a in zip(it, it):
-            v[c] = (v[a] >> width) - (v[c] >> keep)
+            v[c] = (v[a] >> shift) - (v[c] >> keep)
         it = iter(twos)
         for c, a, b in zip(it, it, it):
-            v[c] = ((v[a] + v[b]) >> width) - (v[c] >> keep)
+            v[c] = ((v[a] + v[b]) >> shift) - (v[c] >> keep)
         it = iter(threes)
         for c, a, b, d in zip(it, it, it, it):
-            v[c] = ((v[a] + v[b] + v[d]) >> width) - (v[c] >> keep)
+            v[c] = ((v[a] + v[b] + v[d]) >> shift) - (v[c] >> keep)
         for c, pre in rest.items():
-            v[c] = (sum(map(get, pre)) >> width) - (v[c] >> keep)
+            v[c] = (sum(map(get, pre)) >> shift) - (v[c] >> keep)
         return
     it = iter(ones)
     for c, a in zip(it, it):
-        v[c] = (v[a] << width) - (v[c] << keep)
+        v[c] = (v[a] << shift) - (v[c] << keep)
     it = iter(twos)
     for c, a, b in zip(it, it, it):
-        v[c] = ((v[a] + v[b]) << width) - (v[c] << keep)
+        v[c] = ((v[a] + v[b]) << shift) - (v[c] << keep)
     it = iter(threes)
     for c, a, b, d in zip(it, it, it, it):
-        v[c] = ((v[a] + v[b] + v[d]) << width) - (v[c] << keep)
+        v[c] = ((v[a] + v[b] + v[d]) << shift) - (v[c] << keep)
     for c, pre in rest.items():
-        v[c] = (sum(map(get, pre)) << width) - (v[c] << keep)
+        v[c] = (sum(map(get, pre)) << shift) - (v[c] << keep)
 
 
 def _fits(norm: int, width: int) -> bool:
@@ -287,26 +260,28 @@ def _respread(v: list[int], slots: int, width: int, new_width: int) -> None:
         ]
 
 
-def _repack(v: list[int], width: int) -> tuple[int, int, int]:
-    """Measure the exact L1 norm and the lowest used slot of the packed
-    states ``v``, and pack them again in place, from that slot on, at the
-    width the norm needs.  Returns their norm, their width and the slots
-    dropped.  The L1 norm must be below 2^(width-1).
+def _repack(v: list[int], width: int, columns: int) -> tuple[int, int, int]:
+    """Measure the exact L1 norm and the lowest used level (a run of
+    ``columns`` slots) of the packed rows ``v``, and pack them again in
+    place, from that level on, at the width the norm needs.  Returns their
+    norm, their width and the levels dropped.  The L1 norm must be below
+    2^(width-1).
 
     Adding a bias of 2^(width-1) to every slot turns slot c into
     c + 2^(width-1), in [1, 2^width), with no carry; its top bit is set
     exactly where c >= 0.  Spreading each top bit over the low width-1
     bits of its slot and masking the biased int with the result gives P,
-    the state's non-negative slots, and P - v holds the negated negative
+    the row's non-negative slots, and P - v holds the negated negative
     ones.  An int is congruent to the sum of its slots modulo 2^width - 1,
     carries included, and the slots of all P, like those of all P - v, sum
     to less than that, so sum(P) and sum(P) - sum(v) taken modulo it add
     up to the exact L1 norm.
     """
     acc = reduce(or_, v, 0)
-    low = ((acc & -acc).bit_length() - 1) // width if acc else 0
+    level = columns * width
+    low = ((acc & -acc).bit_length() - 1) // level if acc else 0
     if low:
-        _map_in_place(v, rshift, low * width)
+        _map_in_place(v, rshift, low * level)
     slots = max(map(int.bit_length, v)) // width + 1
     bias = _ones(width, slots) << (width - 1)
     signs = map(and_, map(add, v, repeat(bias)), repeat(bias))
@@ -323,95 +298,106 @@ def _repack(v: list[int], width: int) -> tuple[int, int, int]:
 def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     """Kauffman bracket of the trace closure, unknot normalized to 1.
 
-    Sweeps the letters through the Temperley-Lieb algebra.  The state
-    ``v`` lists, by matching id, the matching's coefficient, a polynomial
-    in A^2 packed into one int (Kronecker substitution): slot j holds the
-    coefficient of A^(exp + 2j), with one shared A-exponent ``exp``; all
-    exponents after t letters have the parity of t, so A^2 steps lose
-    nothing.  Each letter is scaled so that it fixes every matching
-    without a cup at its generator: a positive letter acts as
-    1 + A^2 e_i, a negative one, scaled by A^-1, as 1 + A^-2 e_i.  e_i
-    changes only the matchings c with a cup at i, so only those are
-    rewritten, in place, each by pulling from the ids e_i sends to c
-    (:func:`_pull`); the term of c itself picks up its loop,
-    A^2 (-A^2 - A^-2) = -A^4 - 1 for a positive letter and
-    A^-2 (-A^2 - A^-2) = -1 - A^-4 for a negative one, which with the
-    identity's 1 leaves -A^4 and -A^-4.  So the L1 norm over all states
-    at most doubles per letter.  ``norm`` tracks that bound; before it
-    could reach the sign bit of a slot, the state is repacked at a width
-    fitting its exact norm, which keeps every slot exact.  A matching
-    enters the tables right after the letter that first gives it weight.
+    Sweeps the letters through the cell modules (see the module
+    docstring).  ``v[T]`` is row T of rho_j(x) for the word x read so far,
+    T a half-diagram of V_j: slot s D + B holds the coefficient of
+    A^(exp + 2s) in column B, with D = ``columns``.  A level, the D slots
+    of one power of A^2, is ``D * width`` bits.  All exponents after t
+    letters have the parity of t, so A^2 steps lose nothing.  The sweep
+    starts from the identity, 1 in each row's own column.
 
-    A negative letter's weights A^-2 and A^-4 are right shifts by one
-    and two slots.  They are exact because every state keeps at least
-    ``guard`` empty low slots: a packed int whose k lowest slots are 0 is
-    a multiple of 2^(k width), so shifting it right by up to k slots
+    Each letter is scaled so that it fixes every row without a cup at its
+    generator: a positive letter acts as 1 + A^2 e_i, a negative one,
+    scaled by A^-1, as 1 + A^-2 e_i.  e_i sends every row to a multiple of
+    a row with a cup at i, or to 0, so only the cup rows c are rewritten,
+    in place, each pulled from the rows e_i sends to it (:func:`_pull`);
+    the term of c itself picks up its loop, A^2 (-A^2 - A^-2) = -A^4 - 1
+    for a positive letter and A^-2 (-A^2 - A^-2) = -1 - A^-4 for a
+    negative one, which with the identity's 1 leaves -A^4 and -A^-4.  Each
+    row feeds itself and at most one other, so the L1 norm over all slots
+    at most doubles per letter.  ``norm`` tracks that bound, from the
+    identity's one 1 per row; before it could reach the sign bit of a
+    slot, the state is repacked at a width fitting its exact norm.
+
+    A negative letter's weights A^-2 and A^-4 are right shifts by one and
+    two levels.  They are exact because every row keeps at least
+    ``guard`` empty low levels: a packed int whose k lowest levels are 0
+    is a multiple of 2^(k D width), so shifting it right by up to k levels
     divides it exactly, and a sum of such ints is one too.  ``guard`` is
-    0 after a repack, which drops the slots all states leave empty; a
-    negative letter uses up 2 (its rows' lowest slot is at least
-    guard - 2); a positive letter keeps it (its rows' lowest slot is at
-    least guard + 1, and the other states do not change).  Before a
-    negative letter finds fewer than 2, every state is shifted left to
-    ``_GUARD_SLOTS`` empty slots, with ``exp`` lowered to match, so that
-    whole-state shift comes at most once every ``_GUARD_SLOTS / 2``
+    0 after a repack, which drops the levels all rows leave empty; a
+    negative letter uses up 2 (its rows' lowest level is at least
+    guard - 2); a positive letter keeps it (its rows' lowest level is at
+    least guard + 1, and the other rows do not change).  Before a
+    negative letter finds fewer than 2, every row is shifted left to
+    ``_GUARD_LEVELS`` empty levels, with ``exp`` lowered to match, so that
+    whole-state shift comes at most once every ``_GUARD_LEVELS / 2``
     negative letters.
+
+    At the end row T's own column holds its diagonal entry.  Biased by
+    2^(width-1), every slot is non-negative, so shifting T's column down
+    to column 0 and masking keeps exactly that entry at every level.  The
+    sum over the rows of V_j is Tr rho_j, each coefficient at most the
+    norm and so exact.  tr(x) = sum_j Delta_j Tr rho_j is divided by
+    delta = -A^-2 (1 + A^4) exactly; a remainder raises ArithmeticError.
     """
     p = w.strands
     if p > MAX_STRANDS:
         raise ValueError(
             f"strand count {p} exceeds the transfer-matrix guard {MAX_STRANDS}"
         )
-    tables = _matchings(p)
-    norm = 1
+    cells = _cells(p)
+    columns = cells.columns
+    norm = sum(dim for _, dim in cells.modules)
     width = _slot_width(norm)
-    v = [0] * len(tables.loops)
-    v[0] = 1
+    v = [1 << (width * r) for _, dim in cells.modules for r in range(dim)]
     exp = 0
     guard = 0
     for x in w.letters:
         if not _fits(norm << 1, width):
-            norm, width, low = _repack(v, width)
+            norm, width, low = _repack(v, width, columns)
             exp += 2 * low
             guard = 0
         norm <<= 1
-        i = abs(x) - 1
-        groups = tables.groups[i]
+        level = columns * width
+        groups = cells.groups[abs(x) - 1]
         if x > 0:  # A^-1 * identity + A * cup-cap, scaled by A
             exp -= 1
-            _pull(v, groups, width, False)  # 1 - (A^4 + 1) = -A^4
+            _pull(v, groups, level, False)  # 1 - (A^4 + 1) = -A^4
         else:  # A * identity + A^-1 * cup-cap, scaled by A^-1
             if guard < 2:
-                fill = _GUARD_SLOTS - guard
-                _map_in_place(v, lshift, fill * width)
+                fill = _GUARD_LEVELS - guard
+                _map_in_place(v, lshift, fill * level)
                 exp -= 2 * fill
-                guard = _GUARD_SLOTS
+                guard = _GUARD_LEVELS
             guard -= 2
             exp += 1
-            _pull(v, groups, width, True)  # 1 - (1 + A^-4) = -A^-4
-        fresh = tables.unregistered
-        if fresh is not None:  # register the matchings this letter gave weight
-            pull = tables.pulls[i]
-            for c in [c for c in compress(pull, map(fresh.__getitem__, pull)) if v[c]]:
-                tables.register(c)
-            v += repeat(0, len(tables.loops) - len(v))
-    # Sums of states keep within the norm, so each sum unpacks exactly.
-    by_loops: dict[int, int] = {}
-    for sid, x in enumerate(v):
-        if x:
-            k = tables.closure_loops(sid)
-            by_loops[k] = by_loops.get(k, 0) + x
-    coeffs: dict[int, int] = {}
-    for k, x in by_loops.items():
-        # LOOP^(k-1) = (-1)^(k-1) * A^(-2(k-1)) * (1 + A^4)^(k-1)
-        cs = _unpack(x, width)
-        for _ in range(k - 1):
-            cs = [-c for c in cs] + [0, 0]
-            for j in range(len(cs) - 1, 1, -1):
-                cs[j] += cs[j - 2]
-        base = exp - 2 * (k - 1)
-        for j, c in enumerate(cs):
-            coeffs[base + 2 * j] = coeffs.get(base + 2 * j, 0) + c
-    return LaurentPoly(coeffs)
+            _pull(v, groups, level, True)  # 1 - (1 + A^-4) = -A^-4
+    level = columns * width
+    levels = max(map(int.bit_length, v)) // level + 1
+    bias = _ones(width, levels * columns) << (width - 1)
+    lane = _ones(level, levels)  # slot 0 of every level
+    mask, unbias = lane * ((1 << width) - 1), lane << (width - 1)
+    # total[k] is the A^(exp + 2(k - p)) coefficient of tr(x)
+    total = [0] * (levels + 2 * p + 1)
+    row = 0
+    for j, dim in cells.modules:
+        trace = sum(
+            (((v[row + r] + bias) >> (r * width)) & mask) - unbias for r in range(dim)
+        )
+        row += dim
+        sign = -1 if j & 1 else 1
+        # Delta_j = (-1)^j (A^(2j) + A^(2j-4) + ... + A^(-2j))
+        for s, c in enumerate(_unpack(trace, level), p - j):
+            for k in range(s, s + 2 * j + 1, 2):
+                total[k] += sign * c
+    # tr(x) = delta * bracket: peel 1 + A^4 off from the lowest power up
+    quot: list[int] = []
+    for k, t in enumerate(total):
+        quot.append(t - quot[k - 2] if k >= 2 else t)
+    if quot[-1] or quot[-2]:
+        raise ArithmeticError("the trace is not a multiple of the loop value")
+    base = exp - 2 * p + 2  # -A^2 / (1 + A^4) = 1 / delta
+    return LaurentPoly({base + 2 * k: -c for k, c in enumerate(quot[:-2]) if c})
 
 
 def jones(w: BraidWord) -> LaurentPoly:

@@ -182,11 +182,13 @@ def pack(coeffs: list[int], width: int) -> int:
     return v
 
 
-def slot_repack(v: list[int], width: int) -> tuple[list[int], int, int, int]:
+def slot_repack(v: list[int], width: int, columns: int) -> tuple[list[int], int, int, int]:
     """Reference for ``invariants._repack``, one coefficient at a time:
-    the repacked states, their norm, their width and the slots dropped."""
-    low = min((((x & -x).bit_length() - 1) // width for x in v if x), default=0)
-    unpacked = [_unpack(x >> (low * width), width) for x in v]
+    the repacked rows, their norm, their width and the levels (runs of
+    ``columns`` slots) dropped."""
+    level = columns * width
+    low = min((((x & -x).bit_length() - 1) // level for x in v if x), default=0)
+    unpacked = [_unpack(x >> (low * level), width) for x in v]
     norm = sum(abs(c) for cs in unpacked for c in cs)
     new_width = _slot_width(norm)
     return [pack(cs, new_width) for cs in unpacked], norm, new_width, low

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from math import gcd
 
@@ -118,7 +119,9 @@ def _torus_knot_jones(p, q):
 TORUS_KNOTS = [(2, 3), (3, 4), (3, 40), (4, 25), (5, 12), (2, 91)]
 
 
-@pytest.mark.parametrize("p,q", TORUS_KNOTS)
+# K(10,11) and K(11,12) check the widest cell modules where the dict
+# oracle is too slow to follow.
+@pytest.mark.parametrize("p,q", TORUS_KNOTS + [(10, 11), (11, 12)])
 def test_torus_knot_jones_formula(p, q):
     # the package's convention mirrors t -> t^-1, and t^-k = A^(4k)
     expected = LaurentPoly({4 * e: c for e, c in _torus_knot_jones(p, q).items()})
@@ -139,51 +142,130 @@ def test_packed_slots_are_exact_up_to_the_sign_guard():
         assert invariants._fits(norm << invariants._HEADROOM_BITS, width)
 
 
-def _packed_states(rng, width, top, count):
-    """Random signed packed states at ``width`` with coefficients below
+def _packed_states(rng, width, top, count, columns):
+    """Random signed packed rows at ``width`` with coefficients below
     2^top in absolute value; some are zero, and the lowest slots of all
-    of them are empty."""
-    low = rng.randint(0, 3)
+    of them are empty: some whole levels of ``columns`` slots and maybe
+    part of the next."""
+    low = rng.randint(0, 3) * columns + rng.randint(0, columns - 1)
     states = []
     for _ in range(count):
         coeffs = [0] * low + [
-            rng.choice([0, 1, -1]) * rng.getrandbits(top) for _ in range(rng.randint(0, 6))
+            rng.choice([0, 1, -1]) * rng.getrandbits(top)
+            for _ in range(rng.randint(0, 6 * columns))
         ]
         states.append(pack(coeffs, width))
     return states
 
 
 def test_repack_matches_the_per_slot_reference():
+    # columns = 1 drops every empty low slot, as the sweep did with one
+    # matching per int
     rng = random.Random(41)
-    moves = set()
-    zeros = [0, 0]
-    assert (zeros, *invariants._repack(zeros, 40)) == slot_repack([0, 0], 40)
-    for width, top in [(24, 12), (32, 8), (40, 2), (40, 16), (56, 30)]:
-        for _ in range(30):
-            states = _packed_states(rng, width, top, rng.randint(1, 12))
-            expected = slot_repack(states, width)
-            assert invariants._fits(expected[1], width)
-            assert (states, *invariants._repack(states, width)) == expected
-            new_width = expected[2]
-            moves.add((new_width > width) - (new_width < width))
-    assert moves == {-1, 0, 1}
+    for columns in (1, 3, 5):
+        moves = set()
+        dropped = set()
+        zeros = [0, 0]
+        assert (zeros, *invariants._repack(zeros, 40, columns)) == slot_repack(zeros, 40, columns)
+        for width, top in [(24, 12), (32, 8), (40, 2), (40, 16), (56, 30)]:
+            for _ in range(30):
+                states = _packed_states(rng, width, top, rng.randint(1, 12), columns)
+                expected = slot_repack(states, width, columns)
+                assert invariants._fits(expected[1], width)
+                assert (states, *invariants._repack(states, width, columns)) == expected
+                new_width = expected[2]
+                moves.add((new_width > width) - (new_width < width))
+                dropped.add(expected[3])
+        assert moves == {-1, 0, 1}
+        assert dropped >= {0, 1, 2, 3}
+
+
+def test_cell_modules_split_the_algebra_and_its_trace():
+    # sum_j d_j^2 = Catalan(p) = dim TL_p, and the closure of the identity,
+    # p loops, is sum_j Delta_j d_j with Delta_0 = 1, Delta_1 = delta and
+    # Delta_(j+1) = delta Delta_j - Delta_(j-1)
+    deltas = [LaurentPoly.one(), LOOP]
+    for j in range(1, 14):
+        deltas.append(LOOP * deltas[j] - deltas[j - 1])
+    for p in range(1, 15):
+        cells = invariants._cells(p)
+        dims = dict(cells.modules)
+        assert sorted(dims) == list(range(p % 2, p + 1, 2))
+        for j, d in dims.items():
+            k = (p - j) // 2
+            assert d == math.comb(p, k) - (math.comb(p, k - 1) if k else 0)
+        assert cells.columns == max(dims.values())
+        assert sum(d * d for d in dims.values()) == math.comb(2 * p, p) // (p + 1)
+        trace = LaurentPoly.zero()
+        for j, d in dims.items():
+            trace = trace + deltas[j] * d
+        assert trace == LOOP**p
+        if p <= MAX_STRANDS:
+            assert kauffman_bracket(BraidWord(p)) == LOOP ** (p - 1)
+
+
+def test_a_trace_that_is_no_multiple_of_the_loop_value_raises(monkeypatch):
+    # On 4 strands the first trace read is V_0's, weighted by Delta_0 = 1:
+    # one more power of A there is no multiple of delta, and the sweep must
+    # raise, not drop the remainder.
+    unpack = invariants._unpack
+    perturbed = []
+
+    def one_more(x, width):
+        coeffs = unpack(x, width)
+        if not perturbed:
+            perturbed.append(x)
+            coeffs.append(1)
+        return coeffs
+
+    monkeypatch.setattr(invariants, "_unpack", one_more)
+    with pytest.raises(ArithmeticError):
+        kauffman_bracket(parse_word("1 2 -3 2 1"))
+    assert perturbed
+
+
+def _pull_table(groups):
+    """A generator's pull table as a dict from each cup row to its
+    preimages."""
+    ones, twos, threes, rest = groups
+    table = dict(rest)
+    for flat, size in ((ones, 2), (twos, 3), (threes, 4)):
+        for k in range(0, len(flat), size):
+            table[flat[k]] = flat[k + 1 : k + size]
+    return table
+
+
+def test_pull_tables_partition_the_rows_without_a_cup():
+    # C(p-2, floor((p-2)/2)) rows have a cup at i; e_i sends each other
+    # row to one of them or to 0, so no row is the preimage of two cups
+    for p in range(2, 11):
+        cells = invariants._cells(p)
+        rows = sum(d for _, d in cells.modules)
+        for groups in cells.groups:
+            table = _pull_table(groups)
+            assert len(table) == math.comb(p - 2, (p - 2) // 2)
+            pre = [a for c in table for a in table[c]]
+            assert len(pre) == len(set(pre))
+            assert not set(pre) & set(table)
+            assert set(pre) | set(table) <= set(range(rows))
 
 
 def test_bracket_does_not_depend_on_the_order_tables_were_built():
     rng = random.Random(37)
     short = BraidWord(7, tuple(rng.choice([1, -1]) * rng.randint(1, 6) for _ in range(12)))
     full = toric_braid(7, 8)
-    invariants._matchings.cache_clear()
+    invariants._cells.cache_clear()
     try:
         short_first = kauffman_bracket(short)
-        assert invariants._matchings(7).unregistered is not None  # tables still partial
+        first_tables = invariants._cells(7)
         pair = (short_first, kauffman_bracket(full))
-        invariants._matchings.cache_clear()
+        invariants._cells.cache_clear()
         full_first = kauffman_bracket(full)
-        assert invariants._matchings(7).unregistered is None  # tables frozen
+        assert invariants._cells(7) is not first_tables  # built again
+        assert invariants._cells(7) == first_tables
         swapped = (kauffman_bracket(short), full_first)
     finally:
-        invariants._matchings.cache_clear()
+        invariants._cells.cache_clear()
     assert pair == swapped == (dict_bracket(short), dict_bracket(full))
 
 
@@ -207,15 +289,15 @@ def test_bracket_matches_dict_sweep_on_signed_runs(w):
     assert kauffman_bracket(w) == dict_bracket(w)
 
 
-def test_guard_refills_on_fresh_partial_tables():
+def test_guard_refills_on_fresh_tables():
     rng = random.Random(43)
     w = BraidWord(7, tuple(-rng.randint(1, 6) if rng.random() < 0.8 else 3 for _ in range(24)))
-    invariants._matchings.cache_clear()
+    invariants._cells.cache_clear()
     try:
         value = kauffman_bracket(w)
-        assert invariants._matchings(7).unregistered is not None  # tables still partial
+        assert invariants._cells.cache_info().misses == 1  # tables built by this sweep
     finally:
-        invariants._matchings.cache_clear()
+        invariants._cells.cache_clear()
     assert value == dict_bracket(w)
 
 
@@ -226,9 +308,9 @@ def test_negative_letter_right_after_a_repack(monkeypatch):
     repacks = []
     repack = invariants._repack
 
-    def recorded(v, width):
+    def recorded(v, width, columns):
         repacks.append(width)
-        return repack(v, width)
+        return repack(v, width, columns)
 
     monkeypatch.setattr(invariants, "_repack", recorded)
     for w in (toric_braid(4, 9).mirror(), parse_word("-1 -2 -3 -1 -2 -3 -2 -1 -3 -3 -2 -1")):
