@@ -9,9 +9,11 @@ A braid word is a sequence of nonzero integers.  The letter ``k`` with
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Iterable, Sequence
 
 HANDLE_BUDGET = 10**6  # handle-reduction steps before BudgetExceeded
+_LETTER = re.compile("[+-]?[0-9]+")  # ASCII only, unlike int()
 
 
 class BudgetExceeded(Exception):
@@ -79,10 +81,10 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
 
     If ``strands`` is omitted it is inferred as ``max|letter| + 1``.
     """
-    try:
-        letters = tuple(int(tok) for tok in text.split())
-    except ValueError:
-        raise ValueError(f"a braid word is signed integers, got {text!r}") from None
+    tokens = text.split()
+    if not all(_LETTER.fullmatch(tok) for tok in tokens):
+        raise ValueError(f"a braid word is signed integers, got {text!r}")
+    letters = tuple(int(tok) for tok in tokens)
     if strands is None:
         strands = max((abs(x) for x in letters), default=0) + 1
     return BraidWord(strands, letters)
@@ -199,20 +201,27 @@ def is_trivial_braid(w: BraidWord) -> bool:
     return len(handle_reduce(w)) == 0
 
 
-def closure_components(w: BraidWord) -> int:
-    """Number of components of the closure: cycles of the induced permutation."""
+def component_labels(w: BraidWord) -> tuple[int, ...]:
+    """Closure component of the strand starting at each position: the
+    cycles of the induced permutation, numbered from 0 in order of their
+    least position."""
     perm = w.permutation()
-    seen = [False] * w.strands
-    cycles = 0
+    labels = [-1] * w.strands
+    count = 0
     for start in range(w.strands):
-        if seen[start]:
+        if labels[start] >= 0:
             continue
-        cycles += 1
         j = start
-        while not seen[j]:
-            seen[j] = True
+        while labels[j] < 0:
+            labels[j] = count
             j = perm[j]
-    return cycles
+        count += 1
+    return tuple(labels)
+
+
+def closure_components(w: BraidWord) -> int:
+    """Number of components of the closure."""
+    return max(component_labels(w)) + 1
 
 
 def _destabilize(

@@ -1,5 +1,5 @@
-"""Closed-braid planar diagrams: regions, region crossing change, the GF(2)
-incidence system, and linking data.
+"""Closed-braid planar diagrams: the signed word, the flip set of each
+region, region crossing change, and linking data.
 
 The diagram of the closure of a braid word has one crossing per letter.
 Crossing ids are the 0-based letter positions.  Strands run bottom to top
@@ -10,16 +10,16 @@ has four corners: its bottom and top corners lie in gap j, its left corner
 in gap j - 1 and its right corner in gap j + 1.  Every face lies in one
 gap.  A small face of gap j runs from one sigma_j up to the next one, and
 gaps 0 and p are each one side face, so a connected diagram has
-``crossings + 2`` faces (sphere Euler count).
+``crossings + 2`` faces (sphere Euler count).  A region crossing change
+flips every crossing on the face's boundary, so all a face holds here is
+its set of crossings.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from math import gcd
 
-from .braid import BraidWord
+from .braid import BraidWord, component_labels, toric_braid
 
 
 class DisconnectedDiagramError(ValueError):
@@ -27,36 +27,25 @@ class DisconnectedDiagramError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True)
-class Region:
-    """A face of the diagram.
-
-    ``corners`` lists one crossing id per face corner, so a crossing touched
-    at two corners appears twice.  A small face lists its corners bottom to
-    top: the crossing that opens it (its id - 1), the side corners in word
-    order from there, across the seam if the face crosses it, and last the
-    crossing that closes it.  A side face lists its corners in word order.
-    Ids follow :func:`close_braid`: small faces first, by opening crossing.
-    """
-
-    id: int
-    corners: tuple[int, ...]
-    is_outer: bool
-
-
-@dataclasses.dataclass(frozen=True)
 class LinkingData:
     component_count: int
-    pairwise_crossings: tuple[tuple[int, ...], ...]  # symmetric, diag = self-crossings
     linking_matrix: tuple[tuple[int, ...], ...]  # lk in units of 1/1 (signed half-counts)
 
     def total_linking(self, i: int) -> int:
         return sum(self.linking_matrix[i][j] for j in range(self.component_count) if j != i)
 
+    @property
+    def is_proper(self) -> bool:
+        """Every component has even total linking number with the others:
+        region crossing change is an unknotting operation exactly then."""
+        return not any(self.total_linking(i) % 2 for i in range(self.component_count))
+
 
 @dataclasses.dataclass(frozen=True)
 class PlanarDiagram:
-    """Immutable closed-braid diagram; region crossing change returns a copy
-    with flipped signs and shared map structure.
+    """Immutable closed-braid diagram: the signed word and the flip set of
+    each region; region crossing change returns a copy with flipped letters
+    and the same rows.
 
     A set of crossing changes is an int over crossings: bit c set means
     crossing c flips.  ``rows[k]`` is the flip set of a region crossing
@@ -65,37 +54,21 @@ class PlanarDiagram:
     """
 
     strands: int
-    generators: tuple[int, ...]  # generator index (1-based) per crossing
-    signs: tuple[int, ...]  # +1 / -1 per crossing
-    regions: tuple[Region, ...]  # 1-based ids, small regions first
+    letters: tuple[int, ...]  # signed generator per crossing, as in BraidWord
     rows: tuple[int, ...]  # flip set of each region, in id order
-    component_of_strand: tuple[int, ...]  # component label per starting column
 
     @property
     def crossings(self) -> int:
-        return len(self.generators)
-
-    @property
-    def component_count(self) -> int:
-        return max(self.component_of_strand) + 1
+        return len(self.letters)
 
     def word(self) -> BraidWord:
-        return BraidWord(
-            self.strands,
-            tuple(g * s for g, s in zip(self.generators, self.signs)),
-        )
-
-    def region_by_id(self, region_id: int) -> Region:
-        if not 1 <= region_id <= len(self.regions):
-            raise ValueError(
-                f"region id {region_id} out of range 1..{len(self.regions)}"
-            )
-        return self.regions[region_id - 1]
+        return BraidWord(self.strands, self.letters)
 
     def region_crossing_changes(self, region_ids) -> "PlanarDiagram":
         bits = 0
         for r in region_ids:
-            self.region_by_id(r)  # range check
+            if not 1 <= r <= len(self.rows):
+                raise ValueError(f"region id {r} out of range 1..{len(self.rows)}")
             bits ^= self.rows[r - 1]
         return self.apply_flips(bits)
 
@@ -104,61 +77,35 @@ class PlanarDiagram:
             raise ValueError(
                 f"flip set {bits:#x} has bits beyond crossing {self.crossings - 1}"
             )
-        signs = tuple(-s if (bits >> c) & 1 else s for c, s in enumerate(self.signs))
-        return dataclasses.replace(self, signs=signs)
+        letters = tuple(-x if bits >> c & 1 else x for c, x in enumerate(self.letters))
+        return dataclasses.replace(self, letters=letters)
 
     def linking_data(self) -> LinkingData:
-        d = self.component_count
-        counts = [[0] * d for _ in range(d)]
+        comp = list(component_labels(self.word()))  # component at each position
+        d = max(comp) + 1
         lk2 = [[0] * d for _ in range(d)]  # twice the linking number
-        pos = list(range(self.strands))  # strand (starting column) at each position
-        for c, g in enumerate(self.generators):
-            i = g - 1
-            a, b = pos[i], pos[i + 1]
-            ca, cb = self.component_of_strand[a], self.component_of_strand[b]
-            counts[ca][cb] += 1
-            if ca != cb:
-                counts[cb][ca] += 1
-                lk2[ca][cb] += self.signs[c]
-                lk2[cb][ca] += self.signs[c]
-            pos[i], pos[i + 1] = pos[i + 1], pos[i]
-        linking = [[lk2[i][j] // 2 for j in range(d)] for i in range(d)]
-        return LinkingData(
-            component_count=d,
-            pairwise_crossings=tuple(tuple(row) for row in counts),
-            linking_matrix=tuple(tuple(row) for row in linking),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "strands": self.strands,
-                "word": list(g * s for g, s in zip(self.generators, self.signs)),
-                "regions": [
-                    {
-                        "id": r.id,
-                        "crossings": sorted(set(r.corners)),
-                        "is_outer": r.is_outer,
-                    }
-                    for r in self.regions
-                ],
-                "incidence": [
-                    format(row, f"0{max(self.crossings, 1)}b")[::-1] for row in self.rows
-                ],
-            }
-        )
+        for x in self.letters:
+            i = abs(x) - 1
+            a, b = comp[i], comp[i + 1]
+            if a != b:
+                sign = 1 if x > 0 else -1
+                lk2[a][b] += sign
+                lk2[b][a] += sign
+            comp[i], comp[i + 1] = b, a
+        return LinkingData(d, tuple(tuple(v // 2 for v in row) for row in lk2))
 
 
 def close_braid(w: BraidWord) -> PlanarDiagram:
     """Build the closed-braid diagram of a nonempty word using every
     generator (otherwise the diagram is disconnected).
 
-    Each face is read off the word in one pass.  In gap j, sigma_j closes
-    the face below it with its bottom corner and opens the face above it
-    with its top corner, while sigma_(j-1) and sigma_(j+1) add their right
-    and left corners to the face being read.  The face opened by the last
-    sigma_j in gap j crosses the seam: it goes on with what gap j read
-    before its first sigma_j.
+    Each face is read off the word in one pass, as the OR of its corners'
+    crossing bits.  In gap j, sigma_j closes the face below it with its
+    bottom corner and opens the face above it with its top corner, while
+    sigma_(j-1) and sigma_(j+1) add their right and left corners to the
+    face being read.  The face opened by the last sigma_j in gap j crosses
+    the seam: it goes on with what gap j read before its first sigma_j,
+    which is collected in one int per gap and ORed in at the end.
 
     Numbering: the small face that crossing c opens is region c + 1, and
     the side faces of gaps 0 and p are regions crossings + 1 and
@@ -169,71 +116,34 @@ def close_braid(w: BraidWord) -> PlanarDiagram:
     small face spans p - 1 letters of a word of q(p - 1), so the gap across
     the seam is the largest, and the corner after it is the opening one.
     """
-    if not w.letters:
+    letters = w.letters
+    if not letters:
         raise DisconnectedDiagramError("empty word closes to disjoint circles")
-    used = {abs(x) for x in w.letters}
-    missing = [j for j in range(1, w.strands) if j not in used]
+    p = w.strands
+    used = {abs(x) for x in letters}
+    missing = [j for j in range(1, p) if j not in used]
     if missing:
         raise DisconnectedDiagramError(
             f"generator(s) {missing} never occur: the closure is split"
         )
 
-    length = len(w.letters)
-    faces: list[list[int]] = [[] for _ in range(length + 2)]
-    # reading[j]: the face being read in gap j; in gaps 1..p-1 it starts
-    # as the part of the seam face below the first sigma_j
-    reading = [faces[length]] + [[] for _ in range(w.strands - 1)] + [faces[length + 1]]
-    below_first = reading[:]
-    for c, x in enumerate(w.letters):
-        j = abs(x)
-        reading[j - 1].append(c)  # left corner
-        reading[j + 1].append(c)  # right corner
-        reading[j].append(c)  # bottom corner closes the face below
-        reading[j] = faces[c]
-        faces[c].append(c)  # top corner opens region c + 1
-    for j in range(1, w.strands):
-        reading[j] += below_first[j]
-    regions = tuple(
-        Region(id=k + 1, corners=tuple(f), is_outer=k >= length)
-        for k, f in enumerate(faces)
-    )
-    rows = []
-    for f in faces:
-        row = 0
-        for c in f:
-            row |= 1 << c
-        rows.append(row)
-
-    perm = w.permutation()
-    component_of_strand = [-1] * w.strands
-    comp = 0
-    for start in range(w.strands):
-        if component_of_strand[start] >= 0:
-            continue
-        j = start
-        while component_of_strand[j] < 0:
-            component_of_strand[j] = comp
-            j = perm[j]
-        comp += 1
-
-    return PlanarDiagram(
-        strands=w.strands,
-        generators=tuple(abs(x) for x in w.letters),
-        signs=tuple(1 if x > 0 else -1 for x in w.letters),
-        regions=regions,
-        rows=tuple(rows),
-        component_of_strand=tuple(component_of_strand),
-    )
+    length = len(letters)
+    # rows[length + 1 + j] collects the part of gap j's seam face below its
+    # first sigma_j; reading[j] is the row of the face being read in gap j
+    rows = [0] * (length + p + 1)
+    reading = [length, *range(length + 2, length + p + 1), length + 1]
+    for c, x in enumerate(letters):
+        j = x if x > 0 else -x
+        bit = 1 << c
+        rows[reading[j - 1]] |= bit  # left corner
+        rows[reading[j + 1]] |= bit  # right corner
+        rows[reading[j]] |= bit  # bottom corner closes the face below
+        reading[j] = c
+        rows[c] = bit  # top corner opens region c + 1
+    for j in range(1, p):
+        rows[reading[j]] |= rows[length + 1 + j]
+    return PlanarDiagram(strands=p, letters=letters, rows=tuple(rows[: length + 2]))
 
 
 def toric_diagram(p: int, q: int) -> PlanarDiagram:
-    from .braid import toric_braid
-
     return close_braid(toric_braid(p, q))
-
-
-def expected_pairwise_crossings(p: int, q: int) -> int:
-    """Crossing count between any two distinct components of the standard
-    toric diagram: 2pq/d^2."""
-    d = gcd(p, q)
-    return (2 * p * q) // (d * d)

@@ -74,16 +74,3 @@ def solution_coset(rows: Sequence[int], target: int) -> Iterator[int]:
             for b in combo:
                 out ^= b
             yield out
-
-
-def min_weight_solution(rows: Sequence[int], target: int) -> int | None:
-    best: int | None = None
-    for sol in solution_coset(rows, target):
-        if best is None or sol.bit_count() < best.bit_count():
-            best = sol
-    return best
-
-
-def select_bits(mask: int) -> list[int]:
-    return [k for k in range(mask.bit_length()) if (mask >> k) & 1]
-

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 from math import gcd
 
+from .diagram import toric_diagram
+
 
 @dataclasses.dataclass(frozen=True)
 class TorusLinkSpec:
@@ -59,14 +61,7 @@ def is_proper_power_form(p: int, q: int) -> bool:
 def is_proper_diagram_oracle(p: int, q: int) -> bool:
     """Direct check on the standard diagram: every component must have even
     total linking number with the union of the other components."""
-    from .diagram import toric_diagram
-
-    diagram = toric_diagram(p, q)
-    data = diagram.linking_data()
-    for i in range(data.component_count):
-        if data.total_linking(i) % 2:
-            return False
-    return True
+    return toric_diagram(p, q).linking_data().is_proper
 
 
 def is_proper(p: int, q: int) -> bool:

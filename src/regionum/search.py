@@ -85,13 +85,12 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
     """
     if k_max < 0:
         raise ValueError(f"subset size bound must be >= 0, got {k_max}")
-    n_regions = len(diagram.regions)
+    n_regions = len(diagram.rows)
     if n_regions > MAX_REGIONS:
         raise ValueError(
             f"{n_regions} regions exceed the enumeration guard {MAX_REGIONS}"
         )
-    data = diagram.linking_data()
-    if any(data.total_linking(i) % 2 for i in range(data.component_count)):
+    if not diagram.linking_data().is_proper:
         raise NotProperError("diagram is not proper; no subset can trivialize it")
     strands = diagram.strands
     two_braid = strands == 2

@@ -31,17 +31,25 @@ subset's diagram through ``region_crossing_changes`` and sends every
 word on more than two strands to ``certify_unlink``.  The package's
 search must give the same reports.
 
-``close_braid`` is the diagram builder as it was before it read each face
-off the word: it pairs half-edges along each column, traces faces as
-orbits, finds the two side faces by their ports, and numbers the small
-faces by the corner after the largest cyclic gap between their corner
-positions (``_cyclic_anchor``), breaking ties by orbit.  The package's
-builder must give the same faces and rows, and on the standard diagrams
-the same ids, corner multisets and components.
+``close_braid`` builds the diagram from half-edges, as the package did
+before it read each face off the word: it pairs half-edges along each
+column, traces faces as orbits, and finds the two side faces by their
+ports.  It numbers the small faces by the crossing whose top corner
+(between its two top ports) they hold, and returns its own face records
+(corner lists, side flags), rows and component labels.  The package's
+builder must give the same rows in the same order.  ``_cyclic_anchor``
+is the numbering the schedules were first calibrated on: the corner
+after the largest cyclic gap between a face's corner positions, which
+equals the top-corner id on the standard diagrams with q >= 3.
+
+``min_weight_solution`` and ``select_bits`` are GF(2) helpers the package
+no longer uses: the least-weight member of a solution coset, and the set
+bits of a mask.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -53,7 +61,8 @@ from regionum.braid import (
     _free_reduce_list,
     free_reduce,
 )
-from regionum.diagram import DisconnectedDiagramError, PlanarDiagram, Region
+from regionum.diagram import DisconnectedDiagramError, PlanarDiagram
+from regionum.gf2 import solution_coset
 from regionum.invariants import (
     BURAU_PRIME,
     BURAU_T,
@@ -399,7 +408,7 @@ def brute_force_uR(
     undecided = 0
     first_undecided_size: int | None = None
     for k in range(k_max + 1):
-        for subset in combinations(range(1, len(diagram.regions) + 1), k):
+        for subset in combinations(range(1, len(diagram.rows) + 1), k):
             explored += 1
             word = diagram.region_crossing_changes(subset).word()
             if diagram.strands == 2:
@@ -456,7 +465,20 @@ def _column_touches(w: BraidWord) -> list[list[tuple[int, int, int]]]:
     return touches
 
 
-def close_braid(w: BraidWord) -> PlanarDiagram:
+@dataclasses.dataclass(frozen=True)
+class Face:
+    corners: tuple[int, ...]  # one crossing id per corner, in orbit order
+    is_outer: bool  # a side face
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceDiagram:
+    faces: tuple[Face, ...]  # region k + 1 is faces[k]
+    rows: tuple[int, ...]  # flip set of each face, in id order
+    component_of_strand: tuple[int, ...]  # component label per starting column
+
+
+def close_braid(w: BraidWord) -> ReferenceDiagram:
     """Build the closed-braid diagram of a nonempty word using every
     generator (otherwise the diagram is disconnected)."""
     if not w.letters:
@@ -481,13 +503,16 @@ def close_braid(w: BraidWord) -> PlanarDiagram:
             alpha[h2] = h1
     assert all(h >= 0 for h in alpha)
 
-    faces = _trace_faces(alpha)
-    if len(faces) != len(w.letters) + 2:
+    orbits = _trace_faces(alpha)
+    if len(orbits) != len(w.letters) + 2:
         raise DisconnectedDiagramError(
-            f"face count {len(faces)} != crossings + 2; diagram is not planar/connected"
+            f"face count {len(orbits)} != crossings + 2; diagram is not planar/connected"
         )
-    regions = _number_regions(w, faces)
-    rows = tuple(sum(1 << c for c in set(r.corners)) for r in regions)
+    faces = tuple(
+        Face(corners=tuple(h >> 2 for h in orbit), is_outer=outer)
+        for orbit, outer in _number_faces(w, orbits)
+    )
+    rows = tuple(sum(1 << c for c in set(f.corners)) for f in faces)
 
     perm = w.permutation()
     component_of_strand = [-1] * w.strands
@@ -501,14 +526,7 @@ def close_braid(w: BraidWord) -> PlanarDiagram:
             j = perm[j]
         comp += 1
 
-    return PlanarDiagram(
-        strands=w.strands,
-        generators=tuple(abs(x) for x in w.letters),
-        signs=tuple(1 if x > 0 else -1 for x in w.letters),
-        regions=tuple(regions),
-        rows=rows,
-        component_of_strand=tuple(component_of_strand),
-    )
+    return ReferenceDiagram(faces, rows, tuple(component_of_strand))
 
 
 def _trace_faces(alpha: list[int]) -> list[list[int]]:
@@ -530,52 +548,38 @@ def _trace_faces(alpha: list[int]) -> list[list[int]]:
     return faces
 
 
-def _number_regions(w: BraidWord, faces: list[list[int]]) -> list[Region]:
-    """Assign deterministic 1-based ids.
+def _number_faces(
+    w: BraidWord, orbits: list[list[int]]
+) -> list[tuple[list[int], bool]]:
+    """Orbits in id order, each with its side flag.
 
-    Each small face is anchored at the corner that follows the largest gap
-    when its corner crossings are read cyclically along the word; ids are
-    the anchors' 1-based letter positions.  The two large side faces get
-    the last two ids (left side first).  This convention was calibrated so
-    the arithmetic region-set schedules in :mod:`regionum.bounds` land on
-    the intended faces.  Small faces are numbered in order of (anchor,
-    half-edge orbit).  On the standard diagram of every K(p,q) with
-    p = 2..15, 2 <= q < 8p other than K(2,2) the anchors are pairwise
-    distinct, so each small face's id is its anchor, which the schedules
-    rely on.  Anchors can coincide elsewhere (K(2,2), about half of
-    random connected words); the orbit then breaks the tie, and ids stay
-    1..crossings.
+    In an orbit, half-edge ``4c + k`` stands for the corner of crossing c
+    between ports k - 1 and k, so ``4c + TL`` is the top corner of c, and
+    the small face holding it is region c + 1.  The two large side faces
+    get the last two ids (left side first).
     """
     gens = [abs(x) for x in w.letters]
-    length = len(gens)
     top = max(gens)
     left_face = None
     right_face = None
-    for idx, orbit in enumerate(faces):
+    face_of = {}
+    for idx, orbit in enumerate(orbits):
         cols = {gens[h >> 2] for h in orbit}
         ports = {h & 3 for h in orbit}
         if cols == {1} and ports <= {BL, TL}:
             left_face = idx
         if cols == {top} and ports <= {BR, TR}:
             right_face = idx
+        for h in orbit:
+            face_of[h] = idx
     if left_face is None or right_face is None or left_face == right_face:
         raise AssertionError("could not identify the two side faces")
-
-    anchored: list[tuple[int, list[int]]] = []
-    for idx, orbit in enumerate(faces):
-        if idx in (left_face, right_face):
-            continue
-        anchored.append((_cyclic_anchor(sorted({h >> 2 for h in orbit}), length), orbit))
-    anchored.sort()
-
-    regions = []
-    for rid, (_, orbit) in enumerate(anchored, start=1):
-        regions.append(Region(id=rid, corners=tuple(h >> 2 for h in orbit), is_outer=False))
-    for rid, idx in ((len(anchored) + 1, left_face), (len(anchored) + 2, right_face)):
-        regions.append(
-            Region(id=rid, corners=tuple(h >> 2 for h in faces[idx]), is_outer=True)
-        )
-    return regions
+    small = [face_of[4 * c + TL] for c in range(len(gens))]
+    assert sorted(small + [left_face, right_face]) == list(range(len(orbits)))
+    return [(orbits[idx], False) for idx in small] + [
+        (orbits[left_face], True),
+        (orbits[right_face], True),
+    ]
 
 
 def _cyclic_anchor(corners: list[int], length: int) -> int:
@@ -590,3 +594,15 @@ def _cyclic_anchor(corners: list[int], length: int) -> int:
             best_gap = gap
             anchor = c
     return anchor + 1
+
+
+def min_weight_solution(rows: Sequence[int], target: int) -> int | None:
+    best: int | None = None
+    for sol in solution_coset(rows, target):
+        if best is None or sol.bit_count() < best.bit_count():
+            best = sol
+    return best
+
+
+def select_bits(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if (mask >> k) & 1]

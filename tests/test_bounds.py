@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from _oracles import min_weight_solution, select_bits
 from regionum import bounds
 from regionum.bounds import (
     CaseNotCovered,
@@ -17,7 +18,6 @@ from regionum.bounds import (
     verify_bound,
 )
 from regionum.diagram import toric_diagram
-from regionum.gf2 import min_weight_solution, select_bits
 from regionum.invariants import MAX_STRANDS, Verdict, certify_unlink
 from regionum.properness import TorusLinkSpec, is_proper
 
@@ -65,7 +65,7 @@ def test_schedule_ids_distinct_and_in_range():
         diagram = toric_diagram(p, q)
         assert len(schedule) == best.bound
         assert len(set(schedule.region_ids)) == len(schedule)
-        assert all(1 <= r <= len(diagram.regions) for r in schedule.region_ids)
+        assert all(1 <= r <= len(diagram.rows) for r in schedule.region_ids)
 
 
 def test_schedule_application_yields_target_word():

@@ -174,6 +174,8 @@ def test_unknown_command_exits_with_argparse_error(capsys):
         (["proper", "0", "0"], None),
         (["word", "--family", "staircase", "--p", "0"], None),
         (["word", "--family", "mirror_staircase", "--p", "0"], None),
+        (["jones", "1_1"], None),
+        (["jones", "\u0661"], None),
     ],
 )
 def test_bad_input_is_refused_in_one_line(capsys, argv, _):

@@ -1,4 +1,3 @@
-import json
 import random
 from math import gcd
 
@@ -6,68 +5,72 @@ import pytest
 
 import _oracles
 from _words import random_connected_word
-from regionum.braid import BraidWord, parse_word, toric_braid
-from regionum.diagram import (
-    DisconnectedDiagramError,
-    close_braid,
-    expected_pairwise_crossings,
-    toric_diagram,
-)
-from regionum.gf2 import select_bits, solution_coset
+from regionum.braid import BraidWord, component_labels, parse_word, toric_braid
+from regionum.diagram import DisconnectedDiagramError, close_braid, toric_diagram
+from regionum.gf2 import solution_coset
 
 
-def _anchors(d):
+def _anchors(ref):
     return [
-        _oracles._cyclic_anchor(sorted(set(r.corners)), d.crossings)
-        for r in d.regions
-        if not r.is_outer
+        _oracles._cyclic_anchor(sorted(set(f.corners)), len(ref.faces) - 2)
+        for f in ref.faces
+        if not f.is_outer
     ]
+
+
+def _bits(row):
+    return {c for c in range(row.bit_length()) if row >> c & 1}
 
 
 def test_standard_diagram_ids_are_face_anchors():
     # region schedules index small faces by anchor position
     for p in range(2, 7):
         for q in range(p + 1, 6 * p + 6):
-            d = toric_diagram(p, q)
-            assert _anchors(d) == list(range(1, d.crossings + 1)), (p, q)
+            w = toric_braid(p, q)
+            ref = _oracles.close_braid(w)
+            assert close_braid(w).rows == ref.rows, (p, q)
+            assert _anchors(ref) == list(range(1, len(w.letters) + 1)), (p, q)
+
+
+def _previous(gens, c, g):
+    """Position of the last letter of generator g before letter c,
+    cyclically, or None if g never occurs."""
+    before = [k for k in range(c) if gens[k] == g]
+    after = [k for k in range(c, len(gens)) if gens[k] == g]
+    return (before or after or [None])[-1]
 
 
 def test_region_ids_follow_opening_crossings():
     for w in (toric_braid(2, 2), toric_braid(3, 4), parse_word("1 -2 -1 3 2 2 -3 1")):
         d = close_braid(w)
-        length = len(w.letters)
-        assert [r.id for r in d.regions] == list(range(1, length + 3))
-        assert [r.is_outer for r in d.regions] == [False] * length + [True, True]
-        for r in d.regions[:length]:
+        gens = [abs(x) for x in w.letters]
+        assert len(d.rows) == len(gens) + 2
+        for c, g in enumerate(gens):
             # region c + 1 opens at crossing c and closes at the next
-            # letter of the same generator, cyclically
-            c = r.id - 1
-            g = d.generators[c]
-            after = [k for k in range(c + 1, length) if d.generators[k] == g]
-            before = [k for k in range(c + 1) if d.generators[k] == g]
-            assert (r.corners[0], r.corners[-1]) == (c, (after + before)[0])
+            # letter of the same generator, cyclically: the only letters
+            # of generator g on its boundary
+            after = [k for k in range(c + 1, len(gens)) if gens[k] == g]
+            before = [k for k in range(c + 1) if gens[k] == g]
+            assert {k for k in _bits(d.rows[c]) if gens[k] == g} == {c, (after + before)[0]}
     # K(2,2): both bigons have corners {0, 1}, so both anchor at letter 1
-    d = toric_diagram(2, 2)
-    assert _anchors(d) == [1, 1]
-    assert [r.id for r in d.regions] == [1, 2, 3, 4]
+    ref = _oracles.close_braid(toric_braid(2, 2))
+    assert _anchors(ref) == [1, 1]
+    assert toric_diagram(2, 2).rows == ref.rows == (0b11, 0b11, 0b11, 0b11)
 
 
-def _faces(d):
-    return sorted(
-        (tuple(sorted(r.corners)), r.is_outer, row) for r, row in zip(d.regions, d.rows)
-    )
+def _assert_matches_reference(w):
+    # the reference numbers faces its own way (top corners found among
+    # half-edge orbits, side faces by their ports), so equal rows mean
+    # equal faces, ids and side faces at crossings + 1 and crossings + 2
+    d, ref = close_braid(w), _oracles.close_braid(w)
+    assert d.rows == ref.rows, w
+    assert component_labels(d.word()) == ref.component_of_strand, w
 
 
 def test_close_braid_matches_reference_on_standard_diagrams():
     for p in range(2, 9):
         for q in range(1 if p > 2 else 2, 8 * p):
-            w = toric_braid(p, q)
-            d, ref = close_braid(w), _oracles.close_braid(w)
-            assert [(r.id, sorted(r.corners), r.is_outer) for r in d.regions] == [
-                (r.id, sorted(r.corners), r.is_outer) for r in ref.regions
-            ], (p, q)
-            assert d.rows == ref.rows, (p, q)
-            assert d.component_of_strand == ref.component_of_strand, (p, q)
+            _assert_matches_reference(toric_braid(p, q))
 
 
 def test_close_braid_matches_reference_faces_on_random_words():
@@ -76,9 +79,7 @@ def test_close_braid_matches_reference_faces_on_random_words():
     for _ in range(200):
         p = rng.randint(2, 6)
         w = random_connected_word(rng, p, rng.randint(p - 1, 4 * p))
-        d, ref = close_braid(w), _oracles.close_braid(w)
-        assert _faces(d) == _faces(ref), w
-        assert d.component_of_strand == ref.component_of_strand, w
+        _assert_matches_reference(w)
         two_strand += p == 2
         gens = [abs(x) for x in w.letters]
         single_letter += any(gens.count(g) == 1 for g in gens)
@@ -95,7 +96,7 @@ def test_euler_face_count():
     for _ in range(30):
         p = rng.randint(2, 5)
         d = close_braid(random_connected_word(rng, p, rng.randint(p, 12)))
-        assert len(d.regions) == d.crossings + 2
+        assert len(d.rows) == d.crossings + 2
 
 
 def _random_diagrams(seed, count):
@@ -105,15 +106,9 @@ def _random_diagrams(seed, count):
         yield rng, close_braid(random_connected_word(rng, p, rng.randint(p, 12)))
 
 
-def test_region_ids_are_a_bijection():
-    diagrams = [toric_diagram(3, 4)] + [d for _, d in _random_diagrams(13, 40)]
-    for d in diagrams:
-        assert sorted(r.id for r in d.regions) == list(range(1, d.crossings + 3))
-
-
 def test_gf2_solutions_realize_their_targets():
     for rng, d in _random_diagrams(17, 40):
-        regions = len(d.regions)
+        regions = len(d.rows)
         chosen = rng.sample(range(1, regions + 1), rng.randint(0, regions))
         target = 0
         for r in chosen:
@@ -122,23 +117,37 @@ def test_gf2_solutions_realize_their_targets():
         solutions = list(solution_coset(d.rows, target))
         assert sum(1 << (r - 1) for r in chosen) in solutions
         for sol in solutions:
-            ids = [k + 1 for k in select_bits(sol)]
+            ids = [k + 1 for k in _oracles.select_bits(sol)]
             assert d.region_crossing_changes(ids).word() == expected
 
 
 def test_total_corner_incidence():
-    # every crossing has four corners, so summed corner lists have length 4c
+    # crossing c of generator g has four corners: the top one in region
+    # c + 1, the bottom one in the face it closes, opened by the last
+    # sigma_g before it, and the side ones in the faces read in gaps
+    # g - 1 and g + 1, opened by the last letter of those generators (the
+    # side faces in gaps 0 and p); its row set is exactly theirs
     rng = random.Random(5)
     for _ in range(20):
         p = rng.randint(2, 5)
         d = close_braid(random_connected_word(rng, p, rng.randint(p, 12)))
-        assert sum(len(r.corners) for r in d.regions) == 4 * d.crossings
+        gens = [abs(x) for x in d.letters]
+        side = {0: d.crossings, p: d.crossings + 1}
+        for c, g in enumerate(gens):
+            corners = {c, _previous(gens, c, g)}
+            for h in (g - 1, g + 1):
+                corners.add(side[h] if h in side else _previous(gens, c, h))
+            assert {k for k, row in enumerate(d.rows) if row >> c & 1} == corners
 
 
 def test_exactly_two_outer_regions_numbered_last():
-    d = toric_diagram(4, 5)
-    outer = [r.id for r in d.regions if r.is_outer]
-    assert outer == [len(d.regions) - 1, len(d.regions)]
+    w = toric_braid(4, 5)
+    d, ref = close_braid(w), _oracles.close_braid(w)
+    outer = [k + 1 for k, f in enumerate(ref.faces) if f.is_outer]
+    assert outer == [len(d.rows) - 1, len(d.rows)]
+    # the side faces of gaps 0 and 4 touch every sigma_1 and sigma_3
+    for row, g in zip(d.rows[-2:], (1, 3)):
+        assert _bits(row) == {c for c, x in enumerate(w.letters) if abs(x) == g}
 
 
 def test_word_roundtrip():
@@ -148,7 +157,7 @@ def test_word_roundtrip():
 
 def test_region_crossing_change_is_involutive():
     d = toric_diagram(3, 5)
-    for rid in (1, 4, len(d.regions)):
+    for rid in (1, 4, len(d.rows)):
         once = d.region_crossing_changes([rid])
         assert once != d
         assert once.region_crossing_changes([rid]) == d
@@ -165,14 +174,14 @@ def test_region_crossing_changes_order_independent():
 
 
 def test_region_change_flips_exactly_support():
-    d = toric_diagram(3, 4)
-    r = d.region_by_id(3)
+    w = toric_braid(3, 4)
+    d, ref = close_braid(w), _oracles.close_braid(w)
     changed = d.region_crossing_changes([3])
-    flipped = {c for c in range(d.crossings) if changed.signs[c] != d.signs[c]}
-    assert flipped == set(r.corners)
+    flipped = {c for c in range(d.crossings) if changed.letters[c] != d.letters[c]}
+    assert flipped == set(ref.faces[2].corners)
     assert d.apply_flips(d.rows[2]) == changed
-    for bad in (0, len(d.regions) + 1):
-        with pytest.raises(ValueError):
+    for bad in (0, len(d.rows) + 1):
+        with pytest.raises(ValueError, match=f"region id {bad} out of range 1..{len(d.rows)}"):
             d.region_crossing_changes([bad])
     for bits in (1 << d.crossings, -1):
         with pytest.raises(ValueError):
@@ -182,33 +191,24 @@ def test_region_change_flips_exactly_support():
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 4), (3, 3), (4, 4), (4, 6), (6, 3)])
 def test_linking_data_on_torus_links(p, q):
     d = gcd(p, q)
-    diagram = toric_diagram(p, q)
-    data = diagram.linking_data()
+    data = toric_diagram(p, q).linking_data()
     assert data.component_count == d
     for i in range(d):
         for j in range(d):
             if i != j:
-                assert data.pairwise_crossings[i][j] == expected_pairwise_crossings(p, q)
-                # all crossings positive: lk = half the crossing count
-                assert data.linking_matrix[i][j] * 2 == data.pairwise_crossings[i][j]
+                # 2pq/d^2 crossings between two components, all positive:
+                # lk is half of them
+                assert data.linking_matrix[i][j] == p * q // d**2
 
 
 def test_component_count_matches_gcd():
     for p, q in [(2, 3), (3, 4), (4, 6), (5, 5)]:
-        assert toric_diagram(p, q).component_count == gcd(p, q)
-
-
-def test_to_json_parses_and_matches():
-    d = toric_diagram(3, 4)
-    payload = json.loads(d.to_json())
-    assert payload["strands"] == 3
-    assert payload["word"] == [1, 2] * 4
-    assert len(payload["regions"]) == len(d.regions)
-    assert len(payload["incidence"]) == len(d.regions)
+        assert toric_diagram(p, q).linking_data().component_count == gcd(p, q)
 
 
 def test_incidence_matrix_matches_supports():
-    d = toric_diagram(4, 5)
-    assert len(d.rows) == len(d.regions)
-    for region, row in zip(d.regions, d.rows):
-        assert {c for c in range(d.crossings) if (row >> c) & 1} == set(region.corners)
+    w = toric_braid(4, 5)
+    d, ref = close_braid(w), _oracles.close_braid(w)
+    assert len(d.rows) == len(ref.faces)
+    for face, row in zip(ref.faces, d.rows):
+        assert _bits(row) == set(face.corners)

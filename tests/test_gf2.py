@@ -1,12 +1,8 @@
 import random
 from itertools import combinations
 
-from regionum.gf2 import (
-    min_weight_solution,
-    row_reduce,
-    select_bits,
-    solution_coset,
-)
+from _oracles import min_weight_solution, select_bits
+from regionum.gf2 import row_reduce, solution_coset
 
 
 def brute_span(rows):

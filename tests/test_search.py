@@ -115,7 +115,7 @@ def test_memo_reuses_only_refutations(monkeypatch):
     seen = set()
     for subset in (
         s for k in range(k_max + 1)
-        for s in combinations(range(1, len(diagram.regions) + 1), k)
+        for s in combinations(range(1, len(diagram.rows) + 1), k)
     ):
         letters = diagram.region_crossing_changes(subset).word().letters
         if (_rotations(letters) - {letters}) & seen:
@@ -153,7 +153,7 @@ def test_exact_unless_an_undecided_subset_is_smaller(monkeypatch, undecided_size
     # subset after it that opens one, and refutes every other word.  Only
     # a smaller undecided subset leaves the witness's size unproven.
     diagram = close_braid(toric_braid(3, 4))
-    ids = range(1, len(diagram.regions) + 1)
+    ids = range(1, len(diagram.rows) + 1)
     seen, picked = set(), []
     for subset in (s for k in range(3) for s in combinations(ids, k)):
         key = min(_rotations(diagram.region_crossing_changes(subset).word().letters))
