@@ -33,17 +33,22 @@ against Catalan(p) matchings for the whole algebra.
 The sweep keeps rho_j(x) for every j.  A letter multiplies x on top, so
 rho_j(letter x) = rho_j(letter) rho_j(x): it recombines rows and never
 moves a column.  Each row is therefore one packed int holding all its
-columns (Kronecker substitution): slot s D + B holds the coefficient of
-A^(exp + 2s) in column B, where D is the largest dimension and ``exp`` is
-shared, so multiplying by A^2 is one shift by D slots.  A letter rewrites
-only the rows with a cup at its generator, each from the rows e_i sends
-to it.  Every slot stays exact because the L1 norm over all slots at most
-doubles per letter, and the state is repacked at a width fitting its
-exact norm before the bound could reach a slot's sign bit.  At the end
-each row's diagonal entry is read off, the traces are weighted by
-Delta_j, and the sum is divided by delta exactly: a remainder would be a
-bug and raises, it is never dropped.  :func:`kauffman_bracket` has the
-details.
+columns (Kronecker substitution).  Switching one crossing's smoothing
+changes the power of A by 2 and the loop count by 1, so by Kauffman's
+state sum (*Topology* 26, 1987) all exponents of one entry lie in one
+class mod 4.  That class is fixed by a parity of the rows and the
+columns, so a row stores only powers of A^4: slot s D + B holds the
+coefficient of A^(exp + 4s + 2 parity(T) - 2 parity(B)) in column B of
+row T, where D is the largest dimension and ``exp`` is shared, and
+multiplying by A^4 is one shift by D slots.  A letter rewrites only the
+rows with a cup at its generator, each from the rows e_i sends to it,
+with one shift.  Every slot stays exact because the L1 norm over all
+slots at most doubles per letter, and the state is repacked at a width
+fitting its exact norm before the bound could reach a slot's sign bit.
+At the end each row's diagonal entry is read off, the traces are
+weighted by Delta_j, and the sum is divided by delta exactly: a
+remainder would be a bug and raises, it is never dropped.
+:func:`kauffman_bracket` has the details.
 
 Chirality of the positive crossing is a convention; every trivial-link
 verification in this package is chirality-independent (the unlink
@@ -81,18 +86,19 @@ MAX_STRANDS = 12  # 924 half-diagrams in 7 cell modules, the largest of 297
 # between two repacks.
 _HEADROOM_BITS = 16
 
-# Empty low levels (powers of A^2) a negative letter's right shifts may use
-# up before every row is shifted left again; see kauffman_bracket.
-_GUARD_LEVELS = 8
+# Empty low levels (powers of A^4) a negative letter's right shifts may use
+# up, one per letter, before every row is shifted left again; see
+# kauffman_bracket.
+_GUARD_LEVELS = 4
 
 # Rows rewritten at a time when every row changes, so that the old and the
 # new values of only this many are alive together.
 _CHUNK = 16
 
 
-# One generator's pull table: flat records (c, a), (c, a, b) and
-# (c, a, b, d) of the cups with 1, 2 and 3 preimages, and a dict from each
-# other cup to its preimages.
+# One class of one generator's pull table: flat records (c, a), (c, a, b)
+# and (c, a, b, d) of the cups with 1, 2 and 3 preimages, and a dict from
+# each other cup to its preimages.
 _Groups = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, tuple[int, ...]]]
 
 
@@ -107,12 +113,21 @@ class _Cells(NamedTuple):
     and a row's column is its position in its module.  ``columns`` is the
     largest dimension.  ``groups[i]`` maps each row with an arc at i, i+1
     (a cup at i) to the other rows e_i sends to it, in the form the sweep
-    reads (see :func:`_group`).
+    reads (see :func:`_group`): a pair of :data:`_Groups`, the cups of
+    parity 0 and those of parity 1.
+
+    ``parity`` gives each row 0 or 1 such that every row that e_i sends
+    to a cup row has the other parity than that cup row.  It exists because switching
+    one crossing's smoothing changes the power of A by 2 and the loop
+    count by 1, so all exponents of one entry of rho_j(x) lie in one
+    class mod 4: A^(2 parity(T) - 2 parity(B)) times powers of A^4, up to
+    a shift shared by every entry.
     """
 
     columns: int
     modules: tuple[tuple[int, int], ...]
-    groups: tuple[_Groups, ...]
+    parity: tuple[int, ...]
+    groups: tuple[tuple[_Groups, _Groups], ...]
 
 
 @lru_cache(maxsize=None)
@@ -144,8 +159,44 @@ def _cells(p: int) -> _Cells:
                 if b >= 0:
                     image[b] = a
                 pull.setdefault(ids[tuple(image)], []).append(t)
+    parity = _two_colouring(len(states), pulls)
     dims = Counter(s.count(-1) for s in states)
-    return _Cells(max(dims.values()), tuple(sorted(dims.items())), tuple(map(_group, pulls)))
+    return _Cells(
+        max(dims.values()),
+        tuple(sorted(dims.items())),
+        parity,
+        tuple(
+            tuple(_group({c: pre for c, pre in pull.items() if parity[c] == k}) for k in (0, 1))
+            for pull in pulls
+        ),
+    )
+
+
+def _two_colouring(rows: int, pulls: list[dict[int, list[int]]]) -> tuple[int, ...]:
+    """0 or 1 for each row, the lowest row of each connected part 0, such
+    that each cup in ``pulls`` and each of its preimages differ.  Raises
+    ArithmeticError when there is none: the sweep's layout needs it."""
+    edges: list[list[int]] = [[] for _ in range(rows)]
+    for pull in pulls:
+        for c, pre in pull.items():
+            edges[c].extend(pre)
+            for a in pre:
+                edges[a].append(c)
+    parity = [-1] * rows
+    for root in range(rows):
+        if parity[root] >= 0:
+            continue
+        parity[root] = 0
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            for u in edges[t]:
+                if parity[u] < 0:
+                    parity[u] = parity[t] ^ 1
+                    stack.append(u)
+                elif parity[u] == parity[t]:
+                    raise ArithmeticError(f"rows {t} and {u} are joined by e_i and share a parity")
+    return tuple(parity)
 
 
 def _group(pull: dict[int, list[int]]) -> _Groups:
@@ -161,41 +212,64 @@ def _group(pull: dict[int, list[int]]) -> _Groups:
     return (*map(tuple, flat), rest)
 
 
-def _pull(v: list[int], groups: _Groups, shift: int, right: bool) -> None:
-    """Apply one scaled letter to its cup rows in place: for every cup c
-    in ``groups``, with s the sum of ``v`` over c's preimages, set
-    ``v[c]`` to (s << shift) - (v[c] << 2 shift), or with ``right`` to
-    (s >> shift) - (v[c] >> 2 shift).  A preimage has no cup, so it is
-    read before any write can reach it.  Most cups have 1 to 3 preimages;
-    their loops are spelt out, which saves a call per cup, and so are the
-    two directions, which saves a call per shift."""
-    ones, twos, threes, rest = groups
-    keep = 2 * shift
+def _pull(v: list[int], outer: _Groups, inner: _Groups, shift: int, right: bool) -> None:
+    """Apply one scaled letter to its cup rows in place: with s the sum of
+    ``v`` over the preimages of a cup c, set ``v[c]`` to (s - v[c]) << shift
+    for every cup in ``outer`` and to s - (v[c] << shift) for every cup in
+    ``inner``, or with ``right`` the same with >>.  A preimage has no cup,
+    so it is read before any write can reach it.  Most cups have 1 to 3
+    preimages; their loops are spelt out, which saves a call per cup, and
+    so are the two directions, which saves a call per shift."""
     get = v.__getitem__
+    ones, twos, threes, rest = outer
     if right:
         it = iter(ones)
         for c, a in zip(it, it):
-            v[c] = (v[a] >> shift) - (v[c] >> keep)
+            v[c] = (v[a] - v[c]) >> shift
         it = iter(twos)
         for c, a, b in zip(it, it, it):
-            v[c] = ((v[a] + v[b]) >> shift) - (v[c] >> keep)
+            v[c] = (v[a] + v[b] - v[c]) >> shift
         it = iter(threes)
         for c, a, b, d in zip(it, it, it, it):
-            v[c] = ((v[a] + v[b] + v[d]) >> shift) - (v[c] >> keep)
+            v[c] = (v[a] + v[b] + v[d] - v[c]) >> shift
         for c, pre in rest.items():
-            v[c] = (sum(map(get, pre)) >> shift) - (v[c] >> keep)
+            v[c] = (sum(map(get, pre)) - v[c]) >> shift
+        ones, twos, threes, rest = inner
+        it = iter(ones)
+        for c, a in zip(it, it):
+            v[c] = v[a] - (v[c] >> shift)
+        it = iter(twos)
+        for c, a, b in zip(it, it, it):
+            v[c] = v[a] + v[b] - (v[c] >> shift)
+        it = iter(threes)
+        for c, a, b, d in zip(it, it, it, it):
+            v[c] = v[a] + v[b] + v[d] - (v[c] >> shift)
+        for c, pre in rest.items():
+            v[c] = sum(map(get, pre)) - (v[c] >> shift)
         return
     it = iter(ones)
     for c, a in zip(it, it):
-        v[c] = (v[a] << shift) - (v[c] << keep)
+        v[c] = (v[a] - v[c]) << shift
     it = iter(twos)
     for c, a, b in zip(it, it, it):
-        v[c] = ((v[a] + v[b]) << shift) - (v[c] << keep)
+        v[c] = (v[a] + v[b] - v[c]) << shift
     it = iter(threes)
     for c, a, b, d in zip(it, it, it, it):
-        v[c] = ((v[a] + v[b] + v[d]) << shift) - (v[c] << keep)
+        v[c] = (v[a] + v[b] + v[d] - v[c]) << shift
     for c, pre in rest.items():
-        v[c] = (sum(map(get, pre)) << shift) - (v[c] << keep)
+        v[c] = (sum(map(get, pre)) - v[c]) << shift
+    ones, twos, threes, rest = inner
+    it = iter(ones)
+    for c, a in zip(it, it):
+        v[c] = v[a] - (v[c] << shift)
+    it = iter(twos)
+    for c, a, b in zip(it, it, it):
+        v[c] = v[a] + v[b] - (v[c] << shift)
+    it = iter(threes)
+    for c, a, b, d in zip(it, it, it, it):
+        v[c] = v[a] + v[b] + v[d] - (v[c] << shift)
+    for c, pre in rest.items():
+        v[c] = sum(map(get, pre)) - (v[c] << shift)
 
 
 def _fits(norm: int, width: int) -> bool:
@@ -300,11 +374,11 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
 
     Sweeps the letters through the cell modules (see the module
     docstring).  ``v[T]`` is row T of rho_j(x) for the word x read so far,
-    T a half-diagram of V_j: slot s D + B holds the coefficient of
-    A^(exp + 2s) in column B, with D = ``columns``.  A level, the D slots
-    of one power of A^2, is ``D * width`` bits.  All exponents after t
-    letters have the parity of t, so A^2 steps lose nothing.  The sweep
-    starts from the identity, 1 in each row's own column.
+    T a half-diagram of V_j, and ``parity`` is :attr:`_Cells.parity`: slot
+    s D + B holds the coefficient of A^(exp + 4s + 2 parity(T) -
+    2 parity(B)) in column B, with D = ``columns``.  A level, the D slots
+    of one power of A^4, is ``D * width`` bits.  The sweep starts from the
+    identity, 1 in each row's own column at level 0.
 
     Each letter is scaled so that it fixes every row without a cup at its
     generator: a positive letter acts as 1 + A^2 e_i, a negative one,
@@ -319,21 +393,29 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     identity's one 1 per row; before it could reach the sign bit of a
     slot, the state is repacked at a width fitting its exact norm.
 
-    A negative letter's weights A^-2 and A^-4 are right shifts by one and
-    two levels.  They are exact because every row keeps at least
-    ``guard`` empty low levels: a packed int whose k lowest levels are 0
-    is a multiple of 2^(k D width), so shifting it right by up to k levels
-    divides it exactly, and a sum of such ints is one too.  ``guard`` is
-    0 after a repack, which drops the levels all rows leave empty; a
-    negative letter uses up 2 (its rows' lowest level is at least
-    guard - 2); a positive letter keeps it (its rows' lowest level is at
-    least guard + 1, and the other rows do not change).  Before a
-    negative letter finds fewer than 2, every row is shifted left to
-    ``_GUARD_LEVELS`` empty levels, with ``exp`` lowered to match, so that
-    whole-state shift comes at most once every ``_GUARD_LEVELS / 2``
-    negative letters.
+    Every preimage of c has the other parity, so the weight A^(+-2) moves
+    its terms half a level, which lands on a whole level of c: for a
+    positive letter one level up or none, for a negative one one level
+    down or none, by the parity of c.  A positive letter sets a cup of parity 0 to
+    (s - v[c]) << level and one of parity 1 to s - (v[c] << level), with s
+    the sum over its preimages; a negative letter sets a cup of parity 1
+    to (s - v[c]) >> level and one of parity 0 to s - (v[c] >> level).
+    Each cup costs one shift.
 
-    At the end row T's own column holds its diagonal entry.  Biased by
+    A negative letter's right shifts are exact because every row keeps at
+    least ``guard`` empty low levels: a packed int whose k lowest levels
+    are 0 is a multiple of 2^(k D width), so shifting it right by up to k
+    levels divides it exactly, and a sum of such ints is one too.
+    ``guard`` is 0 after a repack, which drops the levels all rows leave
+    empty; a negative letter uses up 1 (its rows' lowest level is at least
+    guard - 1); a positive letter keeps it (its rows' lowest level is at
+    least guard, and the other rows do not change).  Before a negative
+    letter finds none, every row is shifted left by ``_GUARD_LEVELS``
+    levels, with ``exp`` lowered to match, so that whole-state shift comes
+    at most once every ``_GUARD_LEVELS`` negative letters.
+
+    At the end row T's own column holds its diagonal entry, whose level s
+    is the power A^(exp + 4s) as the parities cancel.  Biased by
     2^(width-1), every slot is non-negative, so shifting T's column down
     to column 0 and masking keeps exactly that entry at every level.  The
     sum over the rows of V_j is Tr rho_j, each coefficient at most the
@@ -355,30 +437,29 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     for x in w.letters:
         if not _fits(norm << 1, width):
             norm, width, low = _repack(v, width, columns)
-            exp += 2 * low
+            exp += 4 * low
             guard = 0
         norm <<= 1
         level = columns * width
-        groups = cells.groups[abs(x) - 1]
+        even, odd = cells.groups[abs(x) - 1]
         if x > 0:  # A^-1 * identity + A * cup-cap, scaled by A
             exp -= 1
-            _pull(v, groups, level, False)  # 1 - (A^4 + 1) = -A^4
+            _pull(v, even, odd, level, False)  # A^2 pre - A^4 c
         else:  # A * identity + A^-1 * cup-cap, scaled by A^-1
-            if guard < 2:
-                fill = _GUARD_LEVELS - guard
-                _map_in_place(v, lshift, fill * level)
-                exp -= 2 * fill
+            if not guard:
+                _map_in_place(v, lshift, _GUARD_LEVELS * level)
+                exp -= 4 * _GUARD_LEVELS
                 guard = _GUARD_LEVELS
-            guard -= 2
+            guard -= 1
             exp += 1
-            _pull(v, groups, level, True)  # 1 - (1 + A^-4) = -A^-4
+            _pull(v, odd, even, level, True)  # A^-2 pre - A^-4 c
     level = columns * width
     levels = max(map(int.bit_length, v)) // level + 1
     bias = _ones(width, levels * columns) << (width - 1)
     lane = _ones(level, levels)  # slot 0 of every level
     mask, unbias = lane * ((1 << width) - 1), lane << (width - 1)
     # total[k] is the A^(exp + 2(k - p)) coefficient of tr(x)
-    total = [0] * (levels + 2 * p + 1)
+    total = [0] * (2 * levels + 2 * p + 1)
     row = 0
     for j, dim in cells.modules:
         trace = sum(
@@ -387,8 +468,8 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
         row += dim
         sign = -1 if j & 1 else 1
         # Delta_j = (-1)^j (A^(2j) + A^(2j-4) + ... + A^(-2j))
-        for s, c in enumerate(_unpack(trace, level), p - j):
-            for k in range(s, s + 2 * j + 1, 2):
+        for s, c in enumerate(_unpack(trace, level)):
+            for k in range(2 * s + p - j, 2 * s + p + j + 1, 2):
                 total[k] += sign * c
     # tr(x) = delta * bracket: peel 1 + A^4 off from the lowest power up
     quot: list[int] = []

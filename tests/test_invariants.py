@@ -226,12 +226,13 @@ def test_a_trace_that_is_no_multiple_of_the_loop_value_raises(monkeypatch):
 
 def _pull_table(groups):
     """A generator's pull table as a dict from each cup row to its
-    preimages."""
-    ones, twos, threes, rest = groups
-    table = dict(rest)
-    for flat, size in ((ones, 2), (twos, 3), (threes, 4)):
-        for k in range(0, len(flat), size):
-            table[flat[k]] = flat[k + 1 : k + size]
+    preimages, both parity classes merged."""
+    table = {}
+    for ones, twos, threes, rest in groups:
+        table.update(rest)
+        for flat, size in ((ones, 2), (twos, 3), (threes, 4)):
+            for k in range(0, len(flat), size):
+                table[flat[k]] = flat[k + 1 : k + size]
     return table
 
 
@@ -248,6 +249,21 @@ def test_pull_tables_partition_the_rows_without_a_cup():
             assert len(pre) == len(set(pre))
             assert not set(pre) & set(table)
             assert set(pre) | set(table) <= set(range(rows))
+
+
+def test_row_parity_is_a_two_colouring_of_the_pull_graph():
+    # the sweep stores each row at the A^4 levels of its own exponent
+    # class, which needs every preimage of a cup to have the other parity
+    for p in range(1, 15):
+        cells = invariants._cells(p)
+        rows = sum(d for _, d in cells.modules)
+        assert len(cells.parity) == rows
+        assert set(cells.parity) <= {0, 1}
+        for groups in cells.groups:
+            for k, half in enumerate(groups):
+                for c, pre in _pull_table([half]).items():
+                    assert cells.parity[c] == k, (p, c)
+                    assert all(cells.parity[a] != k for a in pre), (p, c, pre)
 
 
 def test_bracket_does_not_depend_on_the_order_tables_were_built():
@@ -317,6 +333,22 @@ def test_negative_letter_right_after_a_repack(monkeypatch):
         repacks.clear()
         assert kauffman_bracket(w) == dict_bracket(w), w
         assert len(repacks) >= 2
+
+
+def test_long_negative_runs_with_tight_slots(monkeypatch):
+    # No headroom: repacks every few letters drop empty levels from rows of
+    # both parities, and in between runs of 6 to 12 negative letters use up
+    # the guard one level per letter and refill it.
+    monkeypatch.setattr(invariants, "_HEADROOM_BITS", 0)
+    rng = random.Random(47)
+    for p in (7, 8, 9):
+        letters = []
+        while len(letters) < 4 * p:
+            run = rng.randint(6, 12)
+            letters += [-rng.randint(1, p - 1) for _ in range(run)]
+            letters += [rng.randint(1, p - 1) for _ in range(rng.randint(1, 3))]
+        w = BraidWord(p, tuple(letters))
+        assert kauffman_bracket(w) == dict_bracket(w), w
 
 
 @given(signed_runs(letters_per_strand=8, max_strands=9))
