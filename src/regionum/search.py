@@ -2,10 +2,15 @@
 empirical probes comparing them with the theorem bounds.
 
 The search enumerates region subsets by increasing cardinality and tests
-the resulting diagram for triviality.  For 2-braid closures triviality is
-decided exactly (the closure of sigma_1^{e_1} ... sigma_1^{e_q} is trivial
-iff |sum e_i| <= 1), from popcounts of the subset's flip int.  Any other
-word is first offered to the exact Burau-Alexander refuter, which settles
+the resulting diagram for triviality.  First comes the writhe window
+(Morton, Math. Proc. Cambridge 99, 1986; Franks-Williams, Trans. AMS 303,
+1987): a braid on n strands whose closure is the mu-component unlink has
+|writhe| <= n - mu, and the writhe comes from popcounts of the subset's
+flip int, so a subset outside the window is refuted before any word is
+built.  On two strands the window decides exactly (the closure of
+sigma_1^{e_1} ... sigma_1^{e_q} is trivial iff |sum e_i| <= 1, and the
+sum is even for the 2-component link).  A word on more strands inside the
+window is offered to the exact Burau-Alexander refuter, which settles
 most knotted words in polynomial time; what it does not refute needs a
 Certified verdict from the unlink certifier.  So an exact value is only
 reported when no smaller subset succeeded and no smaller subset was left
@@ -79,9 +84,15 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
 
     The writhe of a subset's word is the base writhe minus twice the
     flipped positive crossings plus twice the flipped negative ones, and
-    its closure has the base word's component count, as a sign flip keeps
-    the permutation; the refuter's decision takes both from here.  On two
-    strands the closure is trivial iff |writhe| <= 1, so no word is built.
+    its closure has the base word's component count mu, as a sign flip
+    keeps the permutation; the refuter's decision takes both from here.
+    A subset with |writhe| > strands - mu is refuted at once: no braid
+    closing to the mu-component unlink lies outside that window (Morton;
+    Franks-Williams).  This is a proof, not a heuristic, and it never
+    certifies.  The writhe is the same for every rotation, so the window
+    needs no memo entry, and it comes before the key is formed.  On two
+    strands a word inside the window closes to the unlink (sigma_1^{+-1}
+    or the empty braid after free reduction), so no word is built.
     """
     if k_max < 0:
         raise ValueError(f"subset size bound must be >= 0, got {k_max}")
@@ -97,6 +108,7 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
     base_word = diagram.word()
     base = base_word.letters
     components = closure_components(base_word)
+    window = strands - components
     rows = diagram.rows
     length = len(base)
     mask = (1 << length) - 1
@@ -121,10 +133,9 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
                 - 2 * (bits & pos).bit_count()
                 + 2 * (bits & neg).bit_count()
             )
-            if two_braid:
-                if abs(writhe) > 1:
-                    continue
-            else:
+            if abs(writhe) > window:
+                continue
+            if not two_braid:
                 key = bits
                 for t in shifts:
                     rotated = (bits >> t | bits << (length - t)) & mask

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 
 import _oracles
 from _oracles import conjugate, cyclic_shift, dict_bracket, naive_bracket, pack, slot_repack
-from _words import braid_words, signed_runs, unlink_closures
+from _words import braid_words, random_connected_word, signed_runs, unlink_closures
 from regionum import invariants
 from regionum.bounds import bound, target_word, verify_bound
-from regionum.braid import BraidWord, parse_word, toric_braid
+from regionum.braid import BraidWord, closure_components, parse_word, toric_braid
 from regionum.invariants import (
     BURAU_PRIME,
     BURAU_T,
@@ -427,6 +427,36 @@ def test_search_dissolves_golden_digest():
         found = invariants._search_dissolves(w, max_nodes=50)
         h.update(json.dumps([found, w.strands, w.letters]).encode())
     assert h.hexdigest() == SEARCH_DIGEST
+
+
+def test_no_certified_word_lies_outside_the_writhe_window():
+    # Morton; Franks-Williams: a braid on n strands closing to the
+    # mu-component unlink has |writhe| <= n - mu.  The u_R search refutes
+    # every word outside that window without asking the certifier.
+    rng = random.Random(15)
+    certified = []
+    for _ in range(400):
+        p = rng.randint(2, 6)
+        w = random_connected_word(rng, p, rng.randint(p - 1, 3 * p))
+        if certify_unlink(w).verdict is Verdict.CERTIFIED:
+            certified.append(w)
+    assert len(certified) >= 40
+    # the window is tight: sigma_1 ... sigma_(n-1) and its kin sit on it
+    margins = [w.strands - closure_components(w) - abs(w.writhe) for w in certified]
+    assert 0 in margins
+    grid = [
+        TorusLinkSpec(p, q)
+        for p in range(2, 7)
+        for q in range(p + 1, 6 * p + 6)
+        if is_proper(p, q)
+    ]
+    for spec in grid:
+        cert = verify_bound(spec).certificate
+        if cert.unlink.verdict is Verdict.CERTIFIED:
+            certified.append(cert.target)
+    assert [
+        w for w in certified if abs(w.writhe) > w.strands - closure_components(w)
+    ] == []
 
 
 def test_certify_multi_component_unlink():

@@ -7,7 +7,7 @@ import _oracles
 from _words import random_connected_word
 from regionum import search
 from regionum.bounds import NotProperError
-from regionum.braid import BraidWord, toric_braid
+from regionum.braid import BraidWord, closure_components, toric_braid
 from regionum.diagram import close_braid
 from regionum.invariants import (
     UnlinkCertificate,
@@ -101,6 +101,12 @@ def test_rotation_period():
     assert _rotation_period((1, -2, 1, -2, 1, -2)) == 2
 
 
+def _inside_window(w):
+    """|writhe| <= strands - components: true of every braid whose closure
+    is the unlink (Morton; Franks-Williams)."""
+    return abs(w.writhe) <= w.strands - closure_components(w)
+
+
 def _rotations(letters):
     return {letters[j:] + letters[:j] for j in range(len(letters))}
 
@@ -151,14 +157,23 @@ def test_exact_unless_an_undecided_subset_is_smaller(monkeypatch, undecided_size
     # The certifier is inconclusive on the first subset of undecided_size
     # whose word opens a new rotation class, certifies the first size-2
     # subset after it that opens one, and refutes every other word.  Only
-    # a smaller undecided subset leaves the witness's size unproven.
+    # a smaller undecided subset leaves the witness's size unproven.  Both
+    # words lie inside the writhe window, as a sound certifier's would:
+    # the search refutes the others before any certifier sees them, and
+    # the oracle, which has no window, must give the same report.
     diagram = close_braid(toric_braid(3, 4))
     ids = range(1, len(diagram.rows) + 1)
     seen, picked = set(), []
     for subset in (s for k in range(3) for s in combinations(ids, k)):
-        key = min(_rotations(diagram.region_crossing_changes(subset).word().letters))
+        word = diagram.region_crossing_changes(subset).word()
+        key = min(_rotations(word.letters))
         size = 2 if picked else undecided_size
-        if key not in seen and len(subset) == size and len(picked) < 2:
+        if (
+            key not in seen
+            and len(subset) == size
+            and len(picked) < 2
+            and _inside_window(word)
+        ):
             picked.append((subset, key))
         seen.add(key)
     (_, undecided), (witness, certified) = picked
@@ -218,8 +233,10 @@ def test_memo_cuts_refuter_calls_on_the_probe_set(monkeypatch):
     certifier_calls = _record_calls(monkeypatch, "certify_unlink")
     reports = [sharpness_probe(spec).search for spec in PROBE_SPECS]
     assert sum(r.explored for r in reports if r is not None) == 3140
-    # without the memo all 656 subset words reach the refuter
-    assert (len(refuter_calls), len(certifier_calls)) == (226, 14)
+    # without the memo and the writhe window all 656 subset words reach
+    # the refuter; the window alone settles 113 of the 226 the memo leaves
+    assert (len(refuter_calls), len(certifier_calls)) == (113, 13)
+    assert all(_inside_window(w) for w in refuter_calls)
 
 
 def test_zero_changes_needed_for_trivial_diagram():
