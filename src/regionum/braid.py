@@ -103,10 +103,6 @@ def toric_braid(p: int, q: int) -> BraidWord:
     return BraidWord(p, tuple(range(1, p)) * q)
 
 
-def free_reduce(w: BraidWord) -> BraidWord:
-    return BraidWord(w.strands, tuple(_free_reduce_list(w.letters)))
-
-
 def _free_reduce_list(letters: Iterable[int]) -> list[int]:
     stack: list[int] = []
     for x in letters:
@@ -145,26 +141,34 @@ def handle_reduce(w: BraidWord, budget: int = HANDLE_BUDGET) -> BraidWord:
     Returns a handle-free word representing the same braid-group element;
     the result is empty iff ``w`` is the identity braid.  Raises
     :class:`BudgetExceeded` when the step budget runs out (never a wrong
-    answer).
-
-    The word is kept freely reduced.  After a rewrite at (s, t), only the
-    new letters from s on are pushed onto a stack that holds the prefix
-    letters[:s].  Below the lowest height that stack reaches, the word is
-    unchanged, and no handle closes there (the old word's leftmost handle
-    closed at t), so the next scan starts at that height.
+    answer).  The work is done by :func:`_handle_core` on the free
+    reduction of ``w``.
     """
-    letters = _free_reduce_list(w.letters)
+    return BraidWord(w.strands, _handle_core(_free_reduce_list(w.letters), budget))
+
+
+def _handle_core(word: Sequence[int], budget: int = HANDLE_BUDGET) -> tuple[int, ...]:
+    """Handle reduction of the freely reduced letter sequence ``word``; the
+    result is freely reduced too.
+
+    After a rewrite at (s, t), only the new letters from s on are pushed
+    onto a stack that holds the prefix letters[:s].  Below the lowest
+    height that stack reaches, the word is unchanged, and no handle closes
+    there (the old word's leftmost handle closed at t), so the next scan
+    starts at that height.
+    """
+    letters = list(word)
     start = 0
     steps = 0
     while True:
         found = _find_handle(letters, start)
         if found is None:
-            return BraidWord(w.strands, tuple(letters))
+            return tuple(letters)
         steps += 1
         if steps > budget:
             raise BudgetExceeded(
-                f"handle reduction exceeded {budget} steps on a word of "
-                f"length {len(w)}"
+                f"handle reduction exceeded {budget} steps on a freely "
+                f"reduced word of length {len(word)}"
             )
         s, t = found
         e = 1 if letters[s] > 0 else -1
@@ -243,21 +247,23 @@ def _destabilize(
 
 def split_unused(w: BraidWord) -> list[BraidWord]:
     """Split at unused generators: if sigma_j never occurs, the closure is a
-    split union of the closures of the two halves."""
-    used = {abs(x) for x in w.letters}
-    gaps = [j for j in range(1, w.strands) if j not in used]
-    if not gaps:
-        return [w]
-    pieces: list[BraidWord] = []
+    split union of the closures of the two halves (see :func:`_split_core`)."""
+    return [BraidWord(p, letters) for p, letters in _split_core(w.strands, w.letters)]
+
+
+def _split_core(strands: int, letters: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The pieces ``(strands, letters)`` of :func:`split_unused`.  A word
+    that uses every generator is its own only piece.  Pieces of a split
+    word need not be freely reduced: dropping the other pieces' letters can
+    make two inverse letters adjacent."""
+    used = {abs(x) for x in letters}
+    if len(used) == strands - 1:
+        return [(strands, letters)]
+    pieces: list[tuple[int, tuple[int, ...]]] = []
     lo = 0  # generator-range start: current piece uses strands lo..gap-1
-    for gap in gaps + [w.strands]:
-        count = gap - lo
-        letters = tuple(
-            (abs(x) - lo) * (1 if x > 0 else -1)
-            for x in w.letters
-            if lo < abs(x) < gap
-        )
-        pieces.append(BraidWord(max(count, 1), letters))
+    for gap in [j for j in range(1, strands) if j not in used] + [strands]:
+        piece = tuple(x - lo if x > 0 else x + lo for x in letters if lo < abs(x) < gap)
+        pieces.append((gap - lo, piece))
         lo = gap
     return pieces
 
@@ -266,7 +272,8 @@ def markov_simplify(w: BraidWord) -> BraidWord:
     """Greedy closure-preserving simplification of the free reduction ``v``
     of ``w``: destabilize (:func:`_destabilize`), else cancel ``v[0]``
     against ``v[-1] == -v[0]``, until neither fits.  Each move removes a
-    letter, so at most ``len(w)`` moves apply.
+    letter, so at most ``len(w)`` moves apply.  The work is done by
+    :func:`_markov_core`.
 
     Conjugation by one or two letters could never do more.  When both moves
     fail, ``v`` is freely reduced with ``v[0] != -v[-1]``, so every rotation
@@ -277,8 +284,13 @@ def markov_simplify(w: BraidWord) -> BraidWord:
     rotation, and on ``(-s, ..., s)`` it adds two more unless ``t == -s``,
     which gives back ``v``.
     """
-    strands = w.strands
-    v = tuple(_free_reduce_list(w.letters))
+    return BraidWord(*_markov_core(w.strands, tuple(_free_reduce_list(w.letters))))
+
+
+def _markov_core(strands: int, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """:func:`markov_simplify` of the freely reduced ``v`` on ``strands``
+    strands, as ``(strands, letters)``.  The result is freely and
+    cyclically reduced (its first letter is not the inverse of its last)."""
     while True:
         smaller = _destabilize(strands, v)
         if smaller is not None:
@@ -287,7 +299,7 @@ def markov_simplify(w: BraidWord) -> BraidWord:
         elif v and v[0] == -v[-1]:
             v = v[1:-1]
         else:
-            return BraidWord(strands, v)
+            return strands, v
 
 
 def _conjugate_reduced(v: tuple[int, ...], a: int) -> tuple[int, ...]:

@@ -148,6 +148,8 @@ def cmd_word(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.p_min > args.p_max or args.q_min > args.q_max:
+        raise ValueError(f"empty range p {args.p_min}..{args.p_max}, q {args.q_min}..{args.q_max}")
     specs = [
         TorusLinkSpec(p, q)
         for p in range(args.p_min, args.p_max + 1)

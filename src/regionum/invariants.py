@@ -71,11 +71,11 @@ from .braid import (
     BraidWord,
     BudgetExceeded,
     _conjugate_reduced,
+    _free_reduce_list,
+    _handle_core,
+    _markov_core,
+    _split_core,
     closure_components,
-    free_reduce,
-    handle_reduce,
-    markov_simplify,
-    split_unused,
 )
 from .laurent import LOOP, LaurentPoly
 
@@ -660,29 +660,32 @@ SEARCH_STEP_BUDGET = 500  # handle-reduction steps per search candidate
 def _reduce_to_unlink(w: BraidWord) -> tuple[bool, tuple[BraidWord, ...]]:
     """Try to reduce the closure to a disjoint union of trivial circles by
     alternating handle reduction with Markov simplification, falling back
-    to a bounded best-first search over Markov moves per stuck piece."""
-    pieces = [free_reduce(w)]
+    to a bounded best-first search over Markov moves per stuck piece.
+    Pieces are ``(strands, letters)`` pairs, each freely reduced."""
+    pieces = [(w.strands, tuple(_free_reduce_list(w.letters)))]
     for _ in range(REDUCE_MAX_ROUNDS):
         progressed = False
-        next_pieces: list[BraidWord] = []
+        next_pieces: list[tuple[int, tuple[int, ...]]] = []
         for piece in pieces:
-            for part in split_unused(piece):
-                if not part.letters:
+            parts = _split_core(*piece)
+            for strands, part in parts:
+                if not part:
                     continue
+                free = part if len(parts) == 1 else tuple(_free_reduce_list(part))
                 try:
-                    reduced = handle_reduce(part)
+                    reduced = _handle_core(free)
                 except BudgetExceeded:
-                    reduced = part
-                simplified = markov_simplify(reduced)
-                if len(simplified) < len(part) or simplified.strands < part.strands:
+                    reduced = free
+                simplified = _markov_core(strands, reduced)
+                if len(simplified[1]) < len(part) or simplified[0] < strands:
                     progressed = True
                 next_pieces.append(simplified)
-        pieces = [p for p in next_pieces if p.letters]
+        pieces = [p for p in next_pieces if p[1]]
         if not pieces:
             return True, ()
         if not progressed:
             break
-    residue = [p for p in pieces if not _search_dissolves(p)]
+    residue = [r for r in (BraidWord(*p) for p in pieces) if not _search_dissolves(r)]
     if not residue:
         return True, ()
     return False, tuple(residue)
@@ -695,25 +698,28 @@ def _search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
     some state reaches the empty word; False is only "not found within
     the budget".
 
-    Different states often share a neighbour.  A neighbour met a second
-    time is skipped: its reduction, split search and push would all
-    repeat the first time's, and pushing a state twice only adds a stale
-    heap entry."""
-    start = markov_simplify(w)
-    if not start.letters:
+    States are ``(strands, letters)`` pairs, freely and cyclically reduced
+    by :func:`_markov_core`, so every rotation and every
+    :func:`_conjugate_reduced` neighbour is freely reduced, and the cores
+    take it as it is.  A neighbour met a second time is skipped: its
+    reduction, split search and push would all repeat the first time's,
+    and pushing a state twice only adds a stale heap entry."""
+    start = _markov_core(w.strands, tuple(_free_reduce_list(w.letters)))
+    if not start[1]:
         return True
+    longest = len(start[1]) + SEARCH_SLACK
     seen: set[tuple[int, tuple[int, ...]]] = set()
     tried: set[tuple[int, tuple[int, ...]]] = set()
     tick = itertools.count()
-    heap = [((start.strands, len(start.letters)), next(tick), start)]
+    heap = [(start[0], len(start[1]), next(tick), start)]
     nodes = 0
     while heap and nodes < max_nodes:
-        _, _, cur = heapq.heappop(heap)
-        p, letters = key = (cur.strands, cur.letters)
+        key = heapq.heappop(heap)[-1]
         if key in seen:
             continue
         seen.add(key)
         nodes += 1
+        p, letters = key
         neighbours = [letters[k:] + letters[:k] for k in range(1, len(letters))]
         for g in range(1, p):
             neighbours.append(_conjugate_reduced(letters, g))
@@ -722,29 +728,23 @@ def _search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
             if (p, raw) in tried:
                 continue
             tried.add((p, raw))
-            cand = BraidWord(p, raw)
             try:
-                cand = handle_reduce(cand, budget=SEARCH_STEP_BUDGET)
+                reduced = _handle_core(raw, SEARCH_STEP_BUDGET)
             except BudgetExceeded:
-                pass
-            cand = markov_simplify(cand)
-            if not cand.letters:
+                reduced = raw
+            cand = _markov_core(p, reduced)
+            if not cand[1]:
                 return True
-            parts = split_unused(cand)
+            parts = _split_core(*cand)
             if len(parts) > 1:
                 if all(
-                    not part.letters or _search_dissolves(part, max_nodes // 2)
-                    for part in parts
+                    not part or _search_dissolves(BraidWord(q, part), max_nodes // 2)
+                    for q, part in parts
                 ):
                     return True
                 continue
-            if (
-                (cand.strands, cand.letters) not in seen
-                and len(cand.letters) <= len(start.letters) + SEARCH_SLACK
-            ):
-                heapq.heappush(
-                    heap, ((cand.strands, len(cand.letters)), next(tick), cand)
-                )
+            if cand not in seen and len(cand[1]) <= longest:
+                heapq.heappush(heap, (cand[0], len(cand[1]), next(tick), cand))
     return False
 
 

@@ -13,11 +13,20 @@ stopped looping over slots: it unpacks every coefficient, sums their
 absolute values and packs them again.
 
 ``handle_reduce``, ``markov_simplify`` and their helpers below
-(``cyclic_shift`` and ``conjugate`` among them) are the reduction engine
-as it was before it moved onto letter tuples: it rebuilds a
-``BraidWord`` and free-reduces the whole word after every move.  The
+(``free_reduce``, ``cyclic_shift`` and ``conjugate`` among them) are
+the reduction engine as it was before it moved onto letter tuples: it
+rebuilds a ``BraidWord`` and free-reduces the whole word after every
+move.  The package no longer uses ``free_reduce`` itself.  The
 package's engine must give the same words and raise ``BudgetExceeded``
 on the same inputs.
+
+``search_dissolves`` is the certifier's move search as it was before it
+ran on ``(strands, letters)`` pairs: it wraps every neighbour in a
+``BraidWord`` and calls the public ``handle_reduce``, ``markov_simplify``
+and ``split_unused``, each of which free-reduces the word again.  Those
+three are checked against the old engine above, so this search is the
+reference for the package's: the same verdict, from the same states in
+the same order, on every word and node cap.
 
 ``burau_alexander`` is the Burau-Alexander value as it was before its
 columns were packed into one int each: columns as lists of residues, a
@@ -50,22 +59,27 @@ bits of a mask.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
+from regionum import braid
 from regionum.braid import (
     HANDLE_BUDGET,
     BraidWord,
     BudgetExceeded,
     _free_reduce_list,
-    free_reduce,
 )
 from regionum.diagram import DisconnectedDiagramError, PlanarDiagram
 from regionum.gf2 import solution_coset
 from regionum.invariants import (
     BURAU_PRIME,
     BURAU_T,
+    SEARCH_MAX_NODES,
+    SEARCH_SLACK,
+    SEARCH_STEP_BUDGET,
     UnlinkCertificate,
     Verdict,
     _slot_width,
@@ -219,6 +233,10 @@ def _closure_loops(m: Matching, p: int) -> int:
     return loops
 
 
+def free_reduce(w: BraidWord) -> BraidWord:
+    return BraidWord(w.strands, tuple(_free_reduce_list(w.letters)))
+
+
 def cyclic_shift(w: BraidWord, k: int = 1) -> BraidWord:
     if not w.letters:
         return w
@@ -351,6 +369,66 @@ def _conjugation_improvement(w: BraidWord, max_len: int) -> BraidWord | None:
         if len(v) <= len(w) and _try_destabilize(v) is not None:
             return v
     return None
+
+
+def search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
+    """Best-first search over closure-preserving moves (cyclic shifts,
+    single-letter conjugations, each followed by handle reduction and
+    greedy simplification), fewest strands and letters first.  True iff
+    some state reaches the empty word; False is only "not found within
+    the budget".
+
+    Different states often share a neighbour.  A neighbour met a second
+    time is skipped: its reduction, split search and push would all
+    repeat the first time's, and pushing a state twice only adds a stale
+    heap entry."""
+    start = braid.markov_simplify(w)
+    if not start.letters:
+        return True
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    tried: set[tuple[int, tuple[int, ...]]] = set()
+    tick = itertools.count()
+    heap = [((start.strands, len(start.letters)), next(tick), start)]
+    nodes = 0
+    while heap and nodes < max_nodes:
+        _, _, cur = heapq.heappop(heap)
+        p, letters = key = (cur.strands, cur.letters)
+        if key in seen:
+            continue
+        seen.add(key)
+        nodes += 1
+        neighbours = [letters[k:] + letters[:k] for k in range(1, len(letters))]
+        for g in range(1, p):
+            neighbours.append(braid._conjugate_reduced(letters, g))
+            neighbours.append(braid._conjugate_reduced(letters, -g))
+        for raw in neighbours:
+            if (p, raw) in tried:
+                continue
+            tried.add((p, raw))
+            cand = BraidWord(p, raw)
+            try:
+                cand = braid.handle_reduce(cand, budget=SEARCH_STEP_BUDGET)
+            except BudgetExceeded:
+                pass
+            cand = braid.markov_simplify(cand)
+            if not cand.letters:
+                return True
+            parts = braid.split_unused(cand)
+            if len(parts) > 1:
+                if all(
+                    not part.letters or search_dissolves(part, max_nodes // 2)
+                    for part in parts
+                ):
+                    return True
+                continue
+            if (
+                (cand.strands, cand.letters) not in seen
+                and len(cand.letters) <= len(start.letters) + SEARCH_SLACK
+            ):
+                heapq.heappush(
+                    heap, ((cand.strands, len(cand.letters)), next(tick), cand)
+                )
+    return False
 
 
 _BURAU_T_INV = pow(BURAU_T, -1, BURAU_PRIME)

@@ -8,16 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import conjugate, cyclic_shift
+from _oracles import conjugate, cyclic_shift, free_reduce
 from _words import braid_words, letters, trivial_conjugates
 from regionum.braid import (
     BraidWord,
     BudgetExceeded,
     _conjugate_reduced,
     _destabilize,
+    _handle_core,
+    _markov_core,
+    _split_core,
     closure_components,
     format_word,
-    free_reduce,
     handle_reduce,
     is_trivial_braid,
     markov_simplify,
@@ -221,3 +223,45 @@ def test_handle_reduce_budget_matches_oracle(w, budget):
     assert _outcome(handle_reduce, w, budget) == _outcome(
         _oracles.handle_reduce, w, budget
     )
+
+
+# The cores below take freely reduced letters and do no reduction of
+# their own before they start; the public functions free-reduce first.
+
+
+@given(st.one_of(braid_words(6), trivial_conjugates()), st.integers(0, 20))
+def test_handle_core_matches_handle_reduce_and_its_budget(w, budget):
+    v = free_reduce(w)
+    assert _handle_core(v.letters) == handle_reduce(w).letters
+    expected = _outcome(_oracles.handle_reduce, v, budget)
+    try:
+        got = _handle_core(v.letters, budget)
+    except BudgetExceeded:
+        got = None
+    assert got == (None if expected is None else expected.letters)
+    if got is not None:
+        assert free_reduce(BraidWord(w.strands, got)).letters == got
+
+
+@given(braid_words(6))
+def test_markov_core_matches_markov_simplify(w):
+    v = free_reduce(w)
+    s = markov_simplify(w)
+    p, letters = _markov_core(v.strands, v.letters)
+    assert (p, letters) == (s.strands, s.letters)
+    # freely and cyclically reduced: what the move search relies on
+    assert free_reduce(BraidWord(p, letters)).letters == letters
+    assert not letters or letters[0] != -letters[-1]
+
+
+@given(braid_words(6))
+def test_split_core_matches_split_unused(w):
+    v = free_reduce(w)
+    pieces = _split_core(v.strands, v.letters)
+    assert pieces == [(part.strands, part.letters) for part in split_unused(v)]
+    assert sum(p for p, _ in pieces) == v.strands
+    assert sum(len(letters) for _, letters in pieces) == len(v)
+    for p, letters in pieces:
+        assert {abs(x) for x in letters} == set(range(1, p))
+    if {abs(x) for x in v.letters} == set(range(1, v.strands)):
+        assert pieces == [(v.strands, v.letters)]

@@ -176,6 +176,8 @@ def test_unknown_command_exits_with_argparse_error(capsys):
         (["word", "--family", "mirror_staircase", "--p", "0"], None),
         (["jones", "1_1"], None),
         (["jones", "\u0661"], None),
+        (["table", "2", "1", "3", "4"], None),
+        (["table", "2", "3", "5", "4"], None),
     ],
 )
 def test_bad_input_is_refused_in_one_line(capsys, argv, _):

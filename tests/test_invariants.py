@@ -1,15 +1,25 @@
 import hashlib
+import heapq
 import itertools
 import json
 import math
 import random
+import types
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 
 import _oracles
-from _oracles import conjugate, cyclic_shift, dict_bracket, naive_bracket, pack, slot_repack
+from _oracles import (
+    conjugate,
+    cyclic_shift,
+    dict_bracket,
+    free_reduce,
+    naive_bracket,
+    pack,
+    slot_repack,
+)
 from _words import braid_words, random_connected_word, signed_runs, unlink_closures
 from regionum import invariants
 from regionum.bounds import bound, target_word, verify_bound
@@ -28,6 +38,7 @@ from regionum.invariants import (
 )
 from regionum.laurent import LOOP, LaurentPoly
 from regionum.properness import TorusLinkSpec, is_proper
+from regionum.search import sharpness_probe
 from regionum.templates import staircase_word, three_block_word
 
 
@@ -427,6 +438,92 @@ def test_search_dissolves_golden_digest():
         found = invariants._search_dissolves(w, max_nodes=50)
         h.update(json.dumps([found, w.strands, w.letters]).encode())
     assert h.hexdigest() == SEARCH_DIGEST
+
+
+def _random_search_words(seed, count):
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        p = rng.randint(3, 6)
+        n = rng.randint(p, 3 * p)
+        words.append(
+            BraidWord(p, tuple(rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(n)))
+        )
+    return words
+
+
+def _search_with_states(monkeypatch, module, search, w, cap):
+    """The verdict of ``search(w, cap)`` and every state its heaps give up,
+    in order, as ``(strands, letters)``."""
+    states = []
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        state = entry[-1]
+        states.append((state.strands, state.letters) if isinstance(state, BraidWord) else state)
+        return entry
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "heapq", types.SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
+        return search(w, cap), states
+
+
+@pytest.mark.parametrize("cap", [3, 30, 200])
+def test_search_matches_reference_search(monkeypatch, cap):
+    # the move search on (strands, letters) states against the same search
+    # on BraidWord states, which free-reduces every neighbour again: the
+    # same verdict, from the same states in the same order
+    verdicts = []
+    for w in _random_search_words(18, 60):
+        new = _search_with_states(monkeypatch, invariants, invariants._search_dissolves, w, cap)
+        old = _search_with_states(monkeypatch, _oracles, _oracles.search_dissolves, w, cap)
+        assert new == old, (w, cap)
+        verdicts.append(new[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_search_matches_reference_on_grid_and_probe_residues(monkeypatch):
+    calls = []
+    search = invariants._search_dissolves
+
+    def recorded(w, max_nodes=invariants.SEARCH_MAX_NODES):
+        calls.append((w, max_nodes))
+        return search(w, max_nodes)
+
+    monkeypatch.setattr(invariants, "_search_dissolves", recorded)
+    for p in range(2, 7):
+        for q in range(p + 1, 6 * p + 6):
+            if is_proper(p, q):
+                verify_bound(TorusLinkSpec(p, q))
+    grid_calls = len(calls)
+    for p in range(2, 6):
+        for q in range(2, 17):
+            if (p - 1) * q <= 16:
+                sharpness_probe(TorusLinkSpec(p, q))
+    monkeypatch.undo()
+    # 27 grid residues and 7 probe words reach the search, plus the
+    # searches on the pieces of split neighbours
+    assert grid_calls >= 27 and len(calls) - grid_calls >= 7
+    for w, max_nodes in calls:
+        for cap in range(1, 41):
+            assert search(w, cap) == _oracles.search_dissolves(w, cap), (w, cap)
+        new = _search_with_states(monkeypatch, invariants, search, w, max_nodes)
+        old = _search_with_states(monkeypatch, _oracles, _oracles.search_dissolves, w, max_nodes)
+        assert new == old, w
+
+
+def test_search_states_are_freely_and_cyclically_reduced(monkeypatch):
+    # The search hands each state's rotations and conjugates to the
+    # reduction cores without reducing them again, which is sound only
+    # for freely and cyclically reduced states.
+    states = []
+    search = invariants._search_dissolves
+    for w in _random_search_words(19, 60) + [three_block_word(4)]:
+        states += _search_with_states(monkeypatch, invariants, search, w, 30)[1]
+    assert len(states) > 300
+    for p, letters in states:
+        assert free_reduce(BraidWord(p, letters)).letters == letters
+        assert not letters or letters[0] != -letters[-1]
 
 
 def test_no_certified_word_lies_outside_the_writhe_window():
