@@ -24,6 +24,7 @@ from .braid import format_word, parse_word, toric_braid
 from .diagram import close_braid
 from .invariants import jones
 from .properness import (
+    ORACLE_MAX_CROSSINGS,
     TorusLinkSpec,
     is_proper_closed_form,
     is_proper_diagram_oracle,
@@ -44,14 +45,18 @@ def _spec(args) -> TorusLinkSpec:
 def cmd_proper(args) -> int:
     spec = _spec(args)
     closed = is_proper_closed_form(args.p, args.q)
-    power = is_proper_power_form(args.p, args.q)
-    oracle = is_proper_diagram_oracle(args.p, args.q)
-    if not closed == power == oracle:
+    checks = {"closed": closed, "power": is_proper_power_form(args.p, args.q)}
+    if spec.crossings <= ORACLE_MAX_CROSSINGS:
+        checks["oracle"] = is_proper_diagram_oracle(args.p, args.q)
+    else:
         print(
-            f"internal error: predicates disagree "
-            f"(closed={closed}, power={power}, oracle={oracle})",
+            f"proper: diagram oracle skipped: K({spec.p},{spec.q}) has "
+            f"{spec.crossings} crossings, over {ORACLE_MAX_CROSSINGS}",
             file=sys.stderr,
         )
+    if len(set(checks.values())) > 1:
+        values = ", ".join(f"{name}={value}" for name, value in checks.items())
+        print(f"internal error: predicates disagree ({values})", file=sys.stderr)
         return EXIT_INTERNAL
     if closed:
         kind = "knot" if spec.is_knot else f"{spec.components}-component link"

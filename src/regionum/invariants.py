@@ -47,8 +47,23 @@ slots at most doubles per letter, and the state is repacked at a width
 fitting its exact norm before the bound could reach a slot's sign bit.
 At the end each row's diagonal entry is read off, the traces are
 weighted by Delta_j, and the sum is divided by delta exactly: a
-remainder would be a bug and raises, it is never dropped.
-:func:`kauffman_bracket` has the details.
+remainder would be a bug and raises, it is never dropped.  :func:`_sweep`
+has the details.
+
+The column split.  As no letter mixes columns, the sweep of any range of
+columns runs on its own, with slots for those columns only, and reads
+off the diagonal entries in its range; the parts of complementary ranges
+add up to tr(x) exactly, once their A-exponents, which differ by a
+multiple of 4, are aligned.  A large sweep is split in two
+(:func:`_splits`): this process sweeps the low columns while a worker
+sweeps the others.  The worker (:mod:`regionum.worker`) is one process
+forked on first use, which serves requests on a pipe until that pipe
+ends and then leaves by ``os._exit``; an ``atexit`` hook kills and reaps
+it, and a worker that ends mid-call makes the bracket raise
+ChildProcessError, never return part of the trace.  The split is chosen
+only from the sweep's size by a cost rule measured on 2 vCPUs, the CPU
+affinity of the process and whether ``os.fork`` exists: at most 6
+strands, or a short word, always sweeps in one process.
 
 Chirality of the positive crossing is a convention; every trivial-link
 verification in this package is chirality-independent (the unlink
@@ -61,9 +76,12 @@ import dataclasses
 import enum
 import heapq
 import itertools
+import os
+import sys
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import repeat
+from math import comb
 from operator import add, and_, lshift, mul, or_, rshift
 from typing import Callable, NamedTuple
 
@@ -88,12 +106,22 @@ _HEADROOM_BITS = 16
 
 # Empty low levels (powers of A^4) a negative letter's right shifts may use
 # up, one per letter, before every row is shifted left again; see
-# kauffman_bracket.
+# _sweep.
 _GUARD_LEVELS = 4
 
 # Rows rewritten at a time when every row changes, so that the old and the
 # new values of only this many are alive together.
 _CHUNK = 16
+
+# A sweep is split between this process and a worker only with at least
+# this many columns and this many rows x columns x letters; see _splits.
+_SPLIT_COLUMNS = 14
+_SPLIT_COST = 10_000
+
+# The least rows x columns x letters of a sweep that forks the worker: 7.5
+# ms or more serially, of which a split saves at least what the start
+# costs, 1 ms for the fork and 1.5-3 ms until the first reply.
+_START_COST = 250_000
 
 
 # One class of one generator's pull table: flat records (c, a), (c, a, b)
@@ -369,16 +397,20 @@ def _repack(v: list[int], width: int, columns: int) -> tuple[int, int, int]:
     return norm, new_width, low
 
 
-def kauffman_bracket(w: BraidWord) -> LaurentPoly:
-    """Kauffman bracket of the trace closure, unknot normalized to 1.
+def _sweep(p: int, letters: tuple[int, ...], lo: int, hi: int) -> tuple[int, list[int]]:
+    """The part of the Markov trace of the braid ``letters`` on ``p``
+    strands that columns ``lo`` to ``hi - 1`` of the cell modules carry:
+    (exp, total), with total[k] the coefficient of A^(exp + 2(k - p)).
 
     Sweeps the letters through the cell modules (see the module
     docstring).  ``v[T]`` is row T of rho_j(x) for the word x read so far,
-    T a half-diagram of V_j, and ``parity`` is :attr:`_Cells.parity`: slot
-    s D + B holds the coefficient of A^(exp + 4s + 2 parity(T) -
-    2 parity(B)) in column B, with D = ``columns``.  A level, the D slots
-    of one power of A^4, is ``D * width`` bits.  The sweep starts from the
-    identity, 1 in each row's own column at level 0.
+    T a half-diagram of V_j, restricted to the columns B with
+    lo <= B < hi, and ``parity`` is :attr:`_Cells.parity`: slot
+    s D + B - lo holds the coefficient of A^(exp + 4s + 2 parity(T) -
+    2 parity(B)) in column B, with D = hi - lo.  A level, the D slots of
+    one power of A^4, is ``D * width`` bits.  The sweep starts from the
+    identity, 1 in each row's own column at level 0 where that column is
+    in the range; the rows of a module with at most ``lo`` columns stay 0.
 
     Each letter is scaled so that it fixes every row without a cup at its
     generator: a positive letter acts as 1 + A^2 e_i, a negative one,
@@ -390,7 +422,7 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     negative one, which with the identity's 1 leaves -A^4 and -A^-4.  Each
     row feeds itself and at most one other, so the L1 norm over all slots
     at most doubles per letter.  ``norm`` tracks that bound, from the
-    identity's one 1 per row; before it could reach the sign bit of a
+    identity's 1s in the range; before it could reach the sign bit of a
     slot, the state is repacked at a width fitting its exact norm.
 
     Every preimage of c has the other parity, so the weight A^(+-2) moves
@@ -414,27 +446,26 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     levels, with ``exp`` lowered to match, so that whole-state shift comes
     at most once every ``_GUARD_LEVELS`` negative letters.
 
-    At the end row T's own column holds its diagonal entry, whose level s
-    is the power A^(exp + 4s) as the parities cancel.  Biased by
-    2^(width-1), every slot is non-negative, so shifting T's column down
-    to column 0 and masking keeps exactly that entry at every level.  The
-    sum over the rows of V_j is Tr rho_j, each coefficient at most the
-    norm and so exact.  tr(x) = sum_j Delta_j Tr rho_j is divided by
-    delta = -A^-2 (1 + A^4) exactly; a remainder raises ArithmeticError.
+    At the end row T's own column, when it lies in the range, holds its
+    diagonal entry, whose level s is the power A^(exp + 4s) as the
+    parities cancel.  Biased by 2^(width-1), every slot is non-negative,
+    so shifting T's column down to slot 0 and masking keeps exactly that
+    entry at every level.  The sum over the rows of V_j is the part of
+    Tr rho_j in the range, each coefficient at most the norm and so exact,
+    and the parts are weighted by Delta_j into ``total``.
     """
-    p = w.strands
-    if p > MAX_STRANDS:
-        raise ValueError(
-            f"strand count {p} exceeds the transfer-matrix guard {MAX_STRANDS}"
-        )
     cells = _cells(p)
-    columns = cells.columns
-    norm = sum(dim for _, dim in cells.modules)
+    columns = hi - lo
+    norm = sum(max(min(dim, hi) - lo, 0) for _, dim in cells.modules)
     width = _slot_width(norm)
-    v = [1 << (width * r) for _, dim in cells.modules for r in range(dim)]
+    v = [
+        1 << (width * (r - lo)) if lo <= r < hi else 0
+        for _, dim in cells.modules
+        for r in range(dim)
+    ]
     exp = 0
     guard = 0
-    for x in w.letters:
+    for x in letters:
         if not _fits(norm << 1, width):
             norm, width, low = _repack(v, width, columns)
             exp += 4 * low
@@ -458,12 +489,12 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     bias = _ones(width, levels * columns) << (width - 1)
     lane = _ones(level, levels)  # slot 0 of every level
     mask, unbias = lane * ((1 << width) - 1), lane << (width - 1)
-    # total[k] is the A^(exp + 2(k - p)) coefficient of tr(x)
     total = [0] * (2 * levels + 2 * p + 1)
     row = 0
     for j, dim in cells.modules:
         trace = sum(
-            (((v[row + r] + bias) >> (r * width)) & mask) - unbias for r in range(dim)
+            (((v[row + r] + bias) >> ((r - lo) * width)) & mask) - unbias
+            for r in range(lo, min(dim, hi))
         )
         row += dim
         sign = -1 if j & 1 else 1
@@ -471,6 +502,18 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
         for s, c in enumerate(_unpack(trace, level)):
             for k in range(2 * s + p - j, 2 * s + p + j + 1, 2):
                 total[k] += sign * c
+    return exp, total
+
+
+def _bracket(p: int, parts: list[tuple[int, list[int]]]) -> LaurentPoly:
+    """tr(x) / delta for the parts of tr(x) that :func:`_sweep` returns
+    for complementary column ranges.  Their exponents differ by a multiple
+    of 4, as the letters move them alike and the rest by whole levels."""
+    exp = min(e for e, _ in parts)
+    total = [0] * max((e - exp) // 2 + len(t) for e, t in parts)
+    for e, part in parts:
+        for k, c in enumerate(part, (e - exp) // 2):
+            total[k] += c
     # tr(x) = delta * bracket: peel 1 + A^4 off from the lowest power up
     quot: list[int] = []
     for k, t in enumerate(total):
@@ -479,6 +522,80 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
         raise ArithmeticError("the trace is not a multiple of the loop value")
     base = exp - 2 * p + 2  # -A^2 / (1 + A^4) = 1 / delta
     return LaurentPoly({base + 2 * k: -c for k, c in enumerate(quot[:-2]) if c})
+
+
+@lru_cache(maxsize=None)
+def _shape(p: int) -> tuple[int, int, int]:
+    """The rows, the columns and the split column of the sweep on ``p``
+    strands, from the dimensions d = C(p, k) - C(p, k - 1) of the cell
+    modules alone, so that the worker can start on a sweep before this
+    process has built the tables.  The split column c halves the work
+    best: the columns below c hold min(d, c) d of the d^2 entries of each
+    module, and c brings their sum closest to half the total."""
+    dims = [comb(p, k) - (comb(p, k - 1) if k else 0) for k in range(p // 2 + 1)]
+    columns = max(dims)
+    entries = sum(d * d for d in dims)
+    split = min(
+        range(1, columns),
+        key=lambda c: abs(2 * sum(min(d, c) * d for d in dims) - entries),
+        default=0,
+    )
+    return sum(dims), columns, split
+
+
+def _splits(columns: int, cost: int) -> bool:
+    """Whether a sweep of ``cost`` = rows x columns x letters, with
+    ``columns`` columns, is split between this process and the worker.
+
+    The cost rule comes from timings on 2 vCPUs (Python 3.11).  A split
+    halves the big-int work of each row, but not the interpreter's work
+    per row and letter, and it costs a round trip of 50-80 us.  Modules
+    narrower than ``_SPLIT_COLUMNS`` (p <= 6) gained nothing, even on
+    200-400 letters.  From p = 7 on, a sweep of cost at least
+    ``_SPLIT_COST`` (0.3 ms and more serially) ran in 0.5-0.8 of its
+    serial time, and smaller ones broke even.  A process whose CPU
+    affinity allows one CPU, or a platform without ``os.fork``, never
+    splits.
+    """
+    if columns < _SPLIT_COLUMNS or cost < _SPLIT_COST or not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2
+
+
+def _worker_running() -> bool:
+    """Whether this process runs a worker, found without importing
+    :mod:`regionum.worker`."""
+    worker = sys.modules.get(f"{__package__}.worker")
+    return worker is not None and worker.running()
+
+
+def kauffman_bracket(w: BraidWord) -> LaurentPoly:
+    """Kauffman bracket of the trace closure, unknot normalized to 1.
+
+    tr(x) = sum_j Delta_j Tr rho_j(x) is a sum over the columns of the
+    cell modules, and :func:`_sweep` sweeps any range of them on its own.
+    A sweep that :func:`_splits` finds large enough is split in two at the
+    column :func:`_shape` gives: the worker of :mod:`regionum.worker`
+    sweeps the columns from there on while this process sweeps the ones
+    below.  Only a sweep of cost at least ``_START_COST`` forks the
+    worker, so a process whose sweeps are all smaller never starts one.
+    Otherwise one sweep covers every column.  :func:`_bracket` adds the
+    parts and divides by delta exactly.  A worker that ends mid-call
+    raises ChildProcessError; no part is ever left out.
+    """
+    p = w.strands
+    if p > MAX_STRANDS:
+        raise ValueError(
+            f"strand count {p} exceeds the transfer-matrix guard {MAX_STRANDS}"
+        )
+    rows, columns, split = _shape(p)
+    cost = rows * columns * len(w.letters)
+    if _splits(columns, cost) and (cost >= _START_COST or _worker_running()):
+        from . import worker  # compiled by the first sweep that forks the worker
+
+        return _bracket(p, worker.split_sweep(p, w.letters, split, columns))
+    return _bracket(p, [_sweep(p, w.letters, 0, columns)])
 
 
 def jones(w: BraidWord) -> LaurentPoly:

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +204,59 @@ def test_bad_input_is_refused_in_one_line(capsys, argv, _):
 )
 def test_refusal_names_the_value(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="the bracket splits only with os.fork and 2 CPUs",
+)
+def test_verify_splits_the_bracket_without_duplicating_output_or_leaving_its_worker():
+    # stdout is a pipe, so the first line is still buffered when the worker
+    # is forked; the worker must leave without flushing it again, and the
+    # exit must reap it
+    done = run_python("""
+        import sys
+        from regionum import worker
+        from regionum.cli import main
+
+        print("before the fork")
+        code = main(["verify", "9", "10"])
+        print(worker._worker.pid, file=sys.stderr)
+        sys.exit(code)
+    """)
+    assert done.returncode == 0, done.stderr
+    first, certificate = done.stdout.splitlines()
+    assert first == "before the fork"
+    payload = json.loads(certificate)
+    assert payload["verdict"] == "certified" and payload["jones_unlink_check"] is True
+    worker = int(done.stderr.split()[-1])
+    assert not os.path.exists(f"/proc/{worker}")
+
+
+def test_proper_skips_the_diagram_oracle_on_a_huge_diagram():
+    # 10^12 crossings: the oracle would raise MemoryError.  The limits make
+    # a regression fail fast: 2 GB of address space and 1 s of CPU.
+    done = run_python("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+        from regionum.cli import main
+
+        sys.exit(main(["proper", "1000000", "1000001"]))
+    """)
+    assert (done.returncode, done.stdout) == (0, "proper (knot)\n"), done.stderr
+    assert done.stderr == (
+        "proper: diagram oracle skipped: K(1000000,1000001) has 999999999999 crossings, "
+        "over 10000\n"
+    )

@@ -3,9 +3,14 @@ import heapq
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import types
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +26,7 @@ from _oracles import (
     slot_repack,
 )
 from _words import braid_words, random_connected_word, signed_runs, unlink_closures
-from regionum import invariants
+from regionum import invariants, worker
 from regionum.bounds import bound, target_word, verify_bound
 from regionum.braid import BraidWord, closure_components, parse_word, toric_braid
 from regionum.invariants import (
@@ -97,6 +102,26 @@ def _random_word(rng, max_strands, max_letters):
     )
 
 
+def _ranges(w, *cuts):
+    """The bracket from the column ranges that ``cuts`` bounds, each swept
+    in this process: the full range without cuts.  A worker forked
+    earlier keeps the module's constants as they were then, so tests that
+    patch them sweep here."""
+    p = w.strands
+    bounds = [0, *cuts, invariants._cells(p).columns]
+    parts = [invariants._sweep(p, w.letters, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return invariants._bracket(p, parts)
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _splits(p, letters):
+    rows, columns, _ = invariants._shape(p)
+    return invariants._splits(columns, rows * columns * letters)
+
+
 def test_bracket_matches_dict_sweep_on_random_words():
     rng = random.Random(29)
     for _ in range(100):
@@ -104,12 +129,51 @@ def test_bracket_matches_dict_sweep_on_random_words():
         assert kauffman_bracket(w) == dict_bracket(w), w
 
 
+def _target(p):
+    spec = TorusLinkSpec(p, p + 1)
+    return target_word(spec, next(r.case for r in bound(spec) if r.constructible))
+
+
 @pytest.mark.parametrize("p", [6, 7, 8, 9, 10])
 def test_bracket_matches_dict_sweep_on_targets(p):
-    spec = TorusLinkSpec(p, p + 1)
-    case = next(r.case for r in bound(spec) if r.constructible)
-    w = target_word(spec, case)
-    assert kauffman_bracket(w) == dict_bracket(w)
+    w = _target(p)
+    expected = dict_bracket(w)
+    assert kauffman_bracket(w) == expected
+    # from 7 strands on, a running worker sweeps half the columns
+    splits = _splits(p, len(w.letters))
+    assert splits == (p >= 7 and hasattr(os, "fork") and _cpus() >= 2)
+    if splits:
+        _, columns, split = invariants._shape(p)
+        assert invariants._bracket(p, worker.split_sweep(p, w.letters, split, columns)) == expected
+
+
+def test_complementary_column_ranges_sum_to_the_full_sweep():
+    # a letter multiplies rho_j(x) on the left, so every column evolves on
+    # its own; 1 and 2 strands have one column, nothing to split.  The
+    # K(12,13) target is left to CI's verify 12 13, which splits it.
+    rng = random.Random(53)
+    for p in range(3, MAX_STRANDS + 1):
+        _, columns, split = invariants._shape(p)
+        cuts = {split}
+        if p <= 10:
+            cuts |= {1, columns - 1, rng.randint(1, columns - 1)}
+        for _ in range(2):
+            w = BraidWord(p, tuple(rng.choice([1, -1]) * rng.randint(1, p - 1) for _ in range(20)))
+            full = _ranges(w)
+            for cut in cuts:
+                assert _ranges(w, cut) == full, (w, cut)
+        if p < MAX_STRANDS:
+            w = _target(p)
+            assert _ranges(w, split) == _ranges(w), p
+
+
+def test_small_sweeps_stay_in_this_process():
+    # below 7 strands a split never paid, whatever the length; from 7 on,
+    # only sweeps of at least _SPLIT_COST rows x columns x letters split
+    for p in range(1, 7):
+        assert not _splits(p, 10**6)
+    assert not _splits(7, 10)
+    assert _splits(7, 48) == (hasattr(os, "fork") and _cpus() >= 2)
 
 
 def _torus_knot_jones(p, q):
@@ -206,6 +270,7 @@ def test_cell_modules_split_the_algebra_and_its_trace():
             k = (p - j) // 2
             assert d == math.comb(p, k) - (math.comb(p, k - 1) if k else 0)
         assert cells.columns == max(dims.values())
+        assert invariants._shape(p)[:2] == (sum(dims.values()), cells.columns)
         assert sum(d * d for d in dims.values()) == math.comb(2 * p, p) // (p + 1)
         trace = LaurentPoly.zero()
         for j, d in dims.items():
@@ -306,6 +371,10 @@ def test_bracket_is_exact_when_the_slots_are_tight(monkeypatch):
     for p, q in TORUS_KNOTS:
         w = toric_braid(p, q)
         assert kauffman_bracket(w) == dict_bracket(w), (p, q)
+    # both halves of a split, at every strand count that has one
+    for p in range(3, 10):
+        w = BraidWord(p, tuple(rng.choice([1, -1]) * rng.randint(1, p - 1) for _ in range(40)))
+        assert _ranges(w, invariants._shape(p)[2]) == dict_bracket(w), w
 
 
 # Runs of either sign, so the sweep's guard slots run out and are refilled
@@ -341,9 +410,10 @@ def test_negative_letter_right_after_a_repack(monkeypatch):
 
     monkeypatch.setattr(invariants, "_repack", recorded)
     for w in (toric_braid(4, 9).mirror(), parse_word("-1 -2 -3 -1 -2 -3 -2 -1 -3 -3 -2 -1")):
-        repacks.clear()
-        assert kauffman_bracket(w) == dict_bracket(w), w
-        assert len(repacks) >= 2
+        for cuts in ((), (invariants._shape(4)[2],)):
+            repacks.clear()
+            assert _ranges(w, *cuts) == dict_bracket(w), (w, cuts)
+            assert len(repacks) >= 2 * (len(cuts) + 1)
 
 
 def test_long_negative_runs_with_tight_slots(monkeypatch):
@@ -359,7 +429,116 @@ def test_long_negative_runs_with_tight_slots(monkeypatch):
             letters += [-rng.randint(1, p - 1) for _ in range(run)]
             letters += [rng.randint(1, p - 1) for _ in range(rng.randint(1, 3))]
         w = BraidWord(p, tuple(letters))
-        assert kauffman_bracket(w) == dict_bracket(w), w
+        expected = dict_bracket(w)
+        assert _ranges(w) == expected, w
+        assert _ranges(w, invariants._shape(p)[2]) == expected, w
+
+
+def _python(code, timeout=60):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or _cpus() < 2, reason="the sweep splits only with os.fork and 2 CPUs"
+)
+def test_a_worker_killed_mid_call_raises_and_is_replaced():
+    # The patched sweep of this process kills the worker while it sweeps
+    # the other half; the bracket must raise, not return half a trace.
+    code = """
+        import os
+        from regionum import invariants, worker
+        from regionum.braid import toric_braid
+
+        w = toric_braid(9, 10)
+        expected = invariants.kauffman_bracket(w)
+        first = worker._worker.pid
+        sweep = invariants._sweep
+
+        def killing(*args):
+            os.kill(first, 9)
+            return sweep(*args)
+
+        invariants._sweep = killing
+        try:
+            invariants.kauffman_bracket(w)
+        except ChildProcessError as exc:
+            print(exc)
+        invariants._sweep = sweep
+        print(os.path.exists(f"/proc/{first}"))
+        print(invariants.kauffman_bracket(w) == expected, worker._worker.pid != first)
+    """
+    done = _python(code)
+    assert done.returncode == 0, done.stderr
+    raised, alive, replaced = done.stdout.splitlines()
+    assert raised.startswith("bracket worker ")
+    assert raised.endswith(" ended mid-call (exit code -9)")
+    assert alive == "False"  # reaped
+    assert replaced == "True True"
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or _cpus() < 2, reason="the sweep splits only with os.fork and 2 CPUs"
+)
+def test_only_a_large_sweep_forks_the_worker():
+    # K(7,8) costs less than _START_COST and sweeps here until K(9,10),
+    # which costs more, has forked the worker
+    code = """
+        from regionum import invariants, worker
+        from regionum.braid import toric_braid
+
+        calls = []
+        split_sweep = worker.split_sweep
+
+        def recorded(p, *args):
+            calls.append(p)
+            return split_sweep(p, *args)
+
+        worker.split_sweep = recorded
+        small = toric_braid(7, 8)
+        first = invariants.kauffman_bracket(small)
+        print(worker.running(), calls)
+        invariants.kauffman_bracket(toric_braid(9, 10))
+        print(worker.running(), calls)
+        assert invariants.kauffman_bracket(small) == first
+        print(calls)
+    """
+    done = _python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False []", "True [9]", "[9, 7]"]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or _cpus() < 2, reason="the sweep splits only with os.fork and 2 CPUs"
+)
+def test_the_worker_holds_no_pipe_of_its_parent():
+    # The parent pipes to a child of its own, then forks the worker; the
+    # child must see the end of its pipe once the parent closes its end.
+    code = """
+        import os
+        from regionum import invariants, worker
+        from regionum.braid import toric_braid
+
+        r, w = os.pipe()
+        child = os.fork()
+        if not child:
+            os.close(w)
+            while os.read(r, 1):
+                pass
+            os._exit(0)
+        os.close(r)
+        invariants.kauffman_bracket(toric_braid(9, 10))
+        print(worker.running())
+        os.close(w)
+        print(os.waitpid(child, 0)[1])
+    """
+    done = _python(code, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["True", "0"]
 
 
 @given(signed_runs(letters_per_strand=8, max_strands=9))
