@@ -113,28 +113,6 @@ def _free_reduce_list(letters: Iterable[int]) -> list[int]:
     return stack
 
 
-def _find_handle(letters: Sequence[int], start: int = 0) -> tuple[int, int] | None:
-    """Leftmost-closing handle (s, t) with t >= start: letters[s] =
-    -letters[t] and every letter strictly between has index > |letters[t]|.
-
-    Scanning for the smallest closing position makes the found handle
-    innermost, so the rewrite below is always permitted.  The caller
-    passes a ``start`` before which no handle closes.
-    """
-    for t in range(start, len(letters)):
-        x = letters[t]
-        i = abs(x)
-        for s in range(t - 1, -1, -1):
-            j = abs(letters[s])
-            if j < i:
-                break
-            if j == i:
-                if letters[s] == -x:
-                    return s, t
-                break
-    return None
-
-
 def handle_reduce(w: BraidWord, budget: int = HANDLE_BUDGET) -> BraidWord:
     """Dehornoy handle reduction.
 
@@ -151,51 +129,64 @@ def _handle_core(word: Sequence[int], budget: int = HANDLE_BUDGET) -> tuple[int,
     """Handle reduction of the freely reduced letter sequence ``word``; the
     result is freely reduced too.
 
-    After a rewrite at (s, t), only the new letters from s on are pushed
-    onto a stack that holds the prefix letters[:s].  Below the lowest
-    height that stack reaches, the word is unchanged, and no handle closes
-    there (the old word's leftmost handle closed at t), so the next scan
-    starts at that height.
+    A handle is ``out[s] ... x`` with ``out[s] == -x`` and every letter
+    between of index above ``|x|``.  The word is ``out`` followed by
+    ``todo`` reversed, and ``out`` holds no handle: each letter taken off
+    ``todo`` is checked only for a handle closing at it, by a backward
+    scan to the nearest letter of index at most ``|x|``.  So the handle
+    rewritten is always the leftmost-closing one, which is innermost, and
+    the rewrite is permitted.  A rewrite replaces the handle by its middle
+    with each sigma_{i+1}^d turned into sigma_{i+1}^-e sigma_i^d
+    sigma_{i+1}^e, free-reduces that against ``out`` and the head of
+    ``todo`` against the result, then moves ``out`` above the lowest
+    height it reached back onto ``todo``.  Below that height the word is
+    unchanged and held no handle, so the next handle found is again the
+    leftmost-closing one of the whole word after the same free
+    reductions: the handles, their order and the step count are those of
+    a scan that restarts from the left after every rewrite, and a rewrite
+    costs the length of its handle, not of the word.
     """
-    letters = list(word)
-    start = 0
+    out: list[int] = []
+    todo = list(reversed(word))
     steps = 0
-    while True:
-        found = _find_handle(letters, start)
-        if found is None:
-            return tuple(letters)
+    while todo:
+        x = todo.pop()
+        i = abs(x)
+        s = len(out) - 1
+        while s >= 0 and abs(out[s]) > i:
+            s -= 1
+        if s < 0 or out[s] != -x:
+            out.append(x)
+            continue
         steps += 1
         if steps > budget:
             raise BudgetExceeded(
                 f"handle reduction exceeded {budget} steps on a freely "
                 f"reduced word of length {len(word)}"
             )
-        s, t = found
-        e = 1 if letters[s] > 0 else -1
-        i = abs(letters[s])
+        e = -1 if x > 0 else 1  # the sign of out[s]
         replacement: list[int] = []
-        for x in letters[s + 1 : t]:
-            if abs(x) == i + 1:
-                replacement.extend([-e * (i + 1), (i if x > 0 else -i), e * (i + 1)])
+        for y in out[s + 1 :]:
+            if abs(y) == i + 1:
+                replacement += (-e * (i + 1), i if y > 0 else -i, e * (i + 1))
             else:
-                replacement.append(x)
-        suffix = letters[t + 1 :]
-        del letters[s:]
-        start = s
-        for x in replacement:
-            if letters and letters[-1] == -x:
-                letters.pop()
-                start = min(start, len(letters))
+                replacement.append(y)
+        del out[s:]
+        low = s
+        for z in replacement:
+            if out and out[-1] == -z:
+                out.pop()
+                low = min(low, len(out))
             else:
-                letters.append(x)
-        # The suffix is freely reduced: once a letter of it stays, so do
-        # all that follow.
-        k = 0
-        while k < len(suffix) and letters and letters[-1] == -suffix[k]:
-            letters.pop()
-            k += 1
-        start = min(start, len(letters))
-        letters += suffix[k:]
+                out.append(z)
+        # todo is freely reduced: once its head stays, so does the rest.
+        while todo and out and out[-1] == -todo[-1]:
+            out.pop()
+            todo.pop()
+        low = min(low, len(out))
+        todo += reversed(out[low:])
+        del out[low:]
+    return tuple(out)
 
 
 def is_trivial_braid(w: BraidWord) -> bool:

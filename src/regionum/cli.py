@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .braid import format_word, parse_word, toric_braid
 from .diagram import close_braid
-from .invariants import jones
+from .invariants import MAX_STRANDS, jones
 from .properness import (
     ORACLE_MAX_CROSSINGS,
     TorusLinkSpec,
@@ -30,7 +30,7 @@ from .properness import (
     is_proper_diagram_oracle,
     is_proper_power_form,
 )
-from .search import brute_force_uR, sharpness_probe
+from .search import brute_force_uR, check_region_count, sharpness_probe
 from .templates import WORD_FAMILIES
 
 EXIT_OK = 0
@@ -40,6 +40,16 @@ EXIT_INTERNAL = 2
 
 def _spec(args) -> TorusLinkSpec:
     return TorusLinkSpec(args.p, args.q)
+
+
+def _refuse_huge_diagram(spec: TorusLinkSpec) -> None:
+    """Refuse a spec with more crossings than ``proper`` lets its diagram
+    oracle build: its diagram would be too big."""
+    if spec.crossings > ORACLE_MAX_CROSSINGS:
+        raise ValueError(
+            f"K({spec.p},{spec.q}) has {spec.crossings} crossings, "
+            f"over {ORACLE_MAX_CROSSINGS}"
+        )
 
 
 def cmd_proper(args) -> int:
@@ -84,6 +94,7 @@ def cmd_bound(args) -> int:
 
 def cmd_schedule(args) -> int:
     spec = _spec(args)
+    _refuse_huge_diagram(spec)
     best = next((r for r in bound(spec) if r.constructible), None)
     if best is None:
         raise CaseNotCovered(f"no constructible case covers K({spec.p},{spec.q})")
@@ -96,13 +107,22 @@ def cmd_schedule(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _spec(args)
+    _refuse_huge_diagram(spec)
     result = verify_bound(spec)
-    print(result.certificate.to_json(spec, result.case, result.bound))
+    certificate = result.certificate
+    if certificate.unlink.jones_matches_unlink is None:
+        print(
+            f"verify: Jones check skipped: the target has "
+            f"{certificate.target.strands} strands, over MAX_STRANDS {MAX_STRANDS}",
+            file=sys.stderr,
+        )
+    print(certificate.to_json(spec, result.case, result.bound))
     return EXIT_OK
 
 
 def cmd_brute(args) -> int:
     spec = _spec(args)
+    check_region_count(spec.crossings + 2)  # the diagram's regions, before it is built
     diagram = close_braid(toric_braid(spec.p, spec.q))
     report = brute_force_uR(diagram, args.max_k)
     print(

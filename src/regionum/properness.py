@@ -16,7 +16,8 @@ from .diagram import toric_diagram
 
 # The diagram oracle builds the whole standard diagram, whose region rows
 # take about L^2 / 16 bytes for L crossings: 0.01 s and 22 MB of peak RSS
-# at this limit, 1.4 s and 912 MB at 90 000 crossings.
+# at this limit, 1.4 s and 912 MB at 90 000 crossings.  The CLI's
+# `verify` and `schedule` refuse larger specs for the same reason.
 ORACLE_MAX_CROSSINGS = 10_000
 
 

@@ -46,6 +46,12 @@ class SearchReport:
     inconclusive: int  # subsets the oracle could not decide
 
 
+def check_region_count(n_regions: int) -> None:
+    """Refuse to enumerate the subsets of more than ``MAX_REGIONS`` regions."""
+    if n_regions > MAX_REGIONS:
+        raise ValueError(f"{n_regions} regions exceed the enumeration guard {MAX_REGIONS}")
+
+
 def _rotation_period(base: tuple[int, ...]) -> int:
     """Smallest s dividing len(base) such that rotating ``base`` by s
     leaves it unchanged: p - 1 for the standard diagram of T(p, q), and
@@ -97,10 +103,7 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
     if k_max < 0:
         raise ValueError(f"subset size bound must be >= 0, got {k_max}")
     n_regions = len(diagram.rows)
-    if n_regions > MAX_REGIONS:
-        raise ValueError(
-            f"{n_regions} regions exceed the enumeration guard {MAX_REGIONS}"
-        )
+    check_region_count(n_regions)
     if not diagram.linking_data().is_proper:
         raise NotProperError("diagram is not proper; no subset can trivialize it")
     strands = diagram.strands

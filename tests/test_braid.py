@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 import _oracles
 from _oracles import conjugate, cyclic_shift, free_reduce
 from _words import braid_words, letters, trivial_conjugates
+from regionum import invariants
+from regionum.bounds import bound, target_word, verify_bound
 from regionum.braid import (
+    HANDLE_BUDGET,
     BraidWord,
     BudgetExceeded,
     _conjugate_reduced,
@@ -27,7 +30,9 @@ from regionum.braid import (
     split_unused,
     toric_braid,
 )
-from regionum.templates import mirror_staircase_word, staircase_word
+from regionum.properness import TorusLinkSpec, is_proper
+from regionum.search import sharpness_probe
+from regionum.templates import mirror_staircase_word, mu, staircase_word
 
 
 def test_letter_validation():
@@ -241,6 +246,95 @@ def test_handle_core_matches_handle_reduce_and_its_budget(w, budget):
     assert got == (None if expected is None else expected.letters)
     if got is not None:
         assert free_reduce(BraidWord(w.strands, got)).letters == got
+
+
+def _oracle_steps(monkeypatch, w):
+    """The oracle's handle reduction of ``w`` and its step count: it
+    searches for a handle once per step and once more to find none."""
+    searches = []
+    find = _oracles._find_handle
+
+    def counted(letters):
+        searches.append(None)
+        return find(letters)
+
+    with monkeypatch.context() as m:
+        m.setattr(_oracles, "_find_handle", counted)
+        reduced = _oracles.handle_reduce(w)
+    return reduced.letters, len(searches) - 1
+
+
+def _check_core_at_its_step_count(monkeypatch, w):
+    """``_handle_core`` gives the oracle's word at a budget of exactly the
+    oracle's step count and runs out one step below it.  Returns the
+    oracle's word and step count."""
+    expected, steps = _oracle_steps(monkeypatch, w)
+    v = free_reduce(w).letters
+    assert _handle_core(v, steps) == expected
+    if steps:
+        with pytest.raises(BudgetExceeded):
+            _handle_core(v, steps - 1)
+    return expected, steps
+
+
+def _seeded_word(p, n):
+    rng = random.Random(1000 * p + n)
+    return BraidWord(p, tuple(rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(n)))
+
+
+# Fewer letters on more strands: the oracle re-reads the whole word after
+# every step, about 12 s on 2000 random letters at p = 8.
+@pytest.mark.parametrize(
+    "p,n", [(3, 2000), (4, 1200), (5, 800), (6, 500), (7, 400), (8, 300)]
+)
+def test_handle_core_matches_oracle_at_its_step_count_on_long_words(monkeypatch, p, n):
+    _, steps = _check_core_at_its_step_count(monkeypatch, _seeded_word(p, n))
+    assert steps > n // 10
+
+
+@pytest.mark.parametrize("p,q", [(6, 41), (9, 65), (12, 79)])
+def test_handle_core_matches_oracle_at_its_step_count_on_long_targets(monkeypatch, p, q):
+    spec = TorusLinkSpec(p, q)
+    case = next(r for r in bound(spec) if r.constructible).case
+    _, steps = _check_core_at_its_step_count(monkeypatch, target_word(spec, case))
+    assert steps > 100
+
+
+def test_handle_core_matches_oracle_on_grid_and_probe_inputs(monkeypatch):
+    calls = []
+    core = invariants._handle_core
+
+    def recorded(word, budget=HANDLE_BUDGET):
+        calls.append((tuple(word), budget))
+        return core(word, budget)
+
+    monkeypatch.setattr(invariants, "_handle_core", recorded)
+    for p in range(2, 7):
+        for q in range(p + 1, 6 * p + 6):
+            if is_proper(p, q):
+                verify_bound(TorusLinkSpec(p, q))
+    grid_calls = len(calls)
+    for p in range(2, 6):
+        for q in range(2, 17):
+            if (p - 1) * q <= 16:
+                sharpness_probe(TorusLinkSpec(p, q))
+    monkeypatch.undo()
+    assert grid_calls >= 2000 and len(calls) - grid_calls >= 200
+    total = 0
+    for word, budget in set(calls):
+        w = BraidWord(max(map(abs, word), default=0) + 1, word)
+        expected, steps = _check_core_at_its_step_count(monkeypatch, w)
+        assert _outcome(_handle_core, word, budget) == (expected if steps <= budget else None)
+        total += steps
+    assert total > 3000
+
+
+def test_handle_core_is_linear_on_a_long_staircase_power():
+    # 200 000 letters: a core that copies the rest of the word after every
+    # rewrite took about 33 s on it (Python 3.11, 2 vCPUs), this one 0.15 s
+    w = staircase_word(3).letters * 33333 + mu(3, 1).letters
+    assert len(w) == 200_000
+    assert _handle_core(w) == (1, 2)
 
 
 @given(braid_words(6))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -60,6 +61,18 @@ def test_verify_emits_json_certificate(capsys):
     assert payload["bound"] == 3
     assert len(payload["regions"]) == 3
     assert payload["verdict"] == "certified"
+
+
+def test_verify_names_the_skipped_jones_check(capsys):
+    code, out, err = run(capsys, "verify", "13", "14")
+    assert code == 0
+    assert err == "verify: Jones check skipped: the target has 13 strands, over MAX_STRANDS 12\n"
+    payload = json.loads(out)
+    assert payload["verdict"] == "certified" and payload["jones_unlink_check"] is None
+    # the certificate as printed before the note went in
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fa47b85ab7321f3053e683ba51e1acfc728ba8f875b4f0bea681faf36d852332"
+    )
 
 
 def test_refuted_target_exits_2(capsys, monkeypatch):
@@ -260,3 +273,20 @@ def test_proper_skips_the_diagram_oracle_on_a_huge_diagram():
         "proper: diagram oracle skipped: K(1000000,1000001) has 999999999999 crossings, "
         "over 10000\n"
     )
+
+
+@pytest.mark.parametrize("command", ["brute", "verify", "schedule"])
+def test_huge_diagram_is_refused_before_it_is_built(command):
+    # 10^6 crossings: building the diagram would raise MemoryError under
+    # these limits, after `schedule` had printed two lines
+    done = run_python(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+        from regionum.cli import main
+
+        sys.exit(main(["{command}", "2", "1000001"]))
+    """)
+    assert (done.returncode, done.stdout) == (1, ""), done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(f"{command}: ")
