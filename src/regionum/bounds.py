@@ -32,6 +32,7 @@ from .braid import BraidWord, toric_braid
 from .diagram import PlanarDiagram, close_braid
 from .gf2 import row_reduce
 from .invariants import UnlinkCertificate, Verdict, certify_unlink
+from .limits import refuse_over
 from .properness import TorusLinkSpec, is_proper
 from .templates import (
     mirror_staircase_segment,
@@ -461,7 +462,7 @@ def bound(spec: TorusLinkSpec) -> list[BoundResult]:
         if _applies(case, p, n, a)
     ]
     results.sort(key=lambda r: (r.bound, not r.constructible))
-    trivial = ((spec.p - 1) * spec.q + 2) // 2
+    trivial = spec.regions // 2
     for r in results:
         if r.bound > trivial:
             raise AssertionError(
@@ -481,15 +482,9 @@ def explicit_schedule(spec: TorusLinkSpec, case: TheoremCase) -> RegionSchedule:
     value = rec.bound(spec.p, n, a)
     if len(ids) != value:
         raise AssertionError(f"{case}: schedule size {len(ids)} != bound {value}")
-    crossings = (spec.p - 1) * spec.q
-    if any(not 1 <= r <= crossings for r in ids):
+    if any(not 1 <= r <= spec.crossings for r in ids):
         raise AssertionError(f"{case}: region id out of range")
     return RegionSchedule(tuple(sorted(ids)))
-
-
-def _printed_target(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord | None:
-    rec, n, a = _record(spec, case)
-    return rec.target(spec.p, n, a) if rec.target else None
 
 
 def _flip_vector(toric: BraidWord, target: BraidWord) -> int:
@@ -503,34 +498,9 @@ def _flip_vector(toric: BraidWord, target: BraidWord) -> int:
     return bits
 
 
-def target_word(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord:
-    """The braid word produced by the case's region crossing changes:
-    the printed proof word when the proof displays one, otherwise the word
-    obtained by applying the explicit schedule to the standard diagram."""
-    printed = _printed_target(spec, case)
-    if printed is not None:
-        return printed
-    diagram = close_braid(toric_braid(spec.p, spec.q))
-    return diagram.region_crossing_changes(explicit_schedule(spec, case).region_ids).word()
-
-
-def flip_vector_for(spec: TorusLinkSpec, case: TheoremCase) -> int:
-    """Bit c set iff crossing c differs in sign between the torus braid
-    and the case's target word."""
-    return _flip_vector(toric_braid(spec.p, spec.q), target_word(spec, case))
-
-
-def verify_bound(spec: TorusLinkSpec) -> BoundResult:
-    """End-to-end certificate for the best constructible bound.
-
-    Pipeline: pick the smallest applicable bound that has a construction
-    of the same value, build its schedule and apply it to the standard
-    diagram, check the word it produces against the printed target, check
-    over GF(2) that the XOR of the schedule's region rows is the word's
-    sign-flip pattern, and certify the target's closure trivial.  Each
-    object is built once.  A Refuted verdict raises: it would mean the
-    construction is wrong, which must never pass silently.
-    """
+def chosen_case(spec: TorusLinkSpec) -> BoundResult:
+    """The case :func:`verify_bound` certifies and ``regionum schedule``
+    prints: the first constructible case of the smallest bound."""
     results = bound(spec)
     if not results:
         raise CaseNotCovered(f"no theorem case covers K({spec.p},{spec.q})")
@@ -543,23 +513,52 @@ def verify_bound(spec: TorusLinkSpec) -> BoundResult:
             f"smallest bound {best_value} for K({spec.p},{spec.q}) has no "
             "constructible case of equal value"
         )
+    return chosen
+
+
+def construct(spec: TorusLinkSpec, case: TheoremCase) -> tuple[RegionSchedule, BraidWord]:
+    """The case's schedule and the target word it makes on the standard
+    diagram, built once and only within ``MAX_CROSSINGS``.  The word must
+    be the one the case's proof prints, if any, and the XOR of the
+    schedule's region rows its sign-flip pattern, so the schedule realizes
+    it with exactly the advertised number of regions.  A failed check
+    raises AssertionError: the construction would be wrong."""
+    refuse_over("MAX_CROSSINGS", spec.crossings, "crossings", f"K({spec.p},{spec.q})")
+    schedule = explicit_schedule(spec, case)
+    rec, n, a = _record(spec, case)
     toric = toric_braid(spec.p, spec.q)
     diagram = close_braid(toric)
-    schedule = explicit_schedule(spec, chosen.case)
     target = diagram.region_crossing_changes(schedule.region_ids).word()
-    printed = _printed_target(spec, chosen.case)
-    if printed is not None and printed != target:
-        raise AssertionError(
-            f"{chosen.case}: schedule does not produce the expected target word"
-        )
+    if rec.target is not None and rec.target(spec.p, n, a) != target:
+        raise AssertionError(f"{case}: schedule does not produce the expected target word")
     realized = 0
     for r in schedule.region_ids:
         realized ^= diagram.rows[r - 1]
     if realized != _flip_vector(toric, target):
         raise AssertionError(
-            f"{chosen.case}: the {len(schedule)} schedule regions do not "
-            "realize the flip pattern"
+            f"{case}: the {len(schedule)} schedule regions do not realize the flip pattern"
         )
+    return schedule, target
+
+
+def target_word(spec: TorusLinkSpec, case: TheoremCase) -> BraidWord:
+    """The case's target word on the standard diagram, checked by :func:`construct`."""
+    return construct(spec, case)[1]
+
+
+def flip_vector_for(spec: TorusLinkSpec, case: TheoremCase) -> int:
+    """Bit c set iff crossing c differs in sign between the torus braid
+    and the case's target word."""
+    return _flip_vector(toric_braid(spec.p, spec.q), target_word(spec, case))
+
+
+def verify_bound(spec: TorusLinkSpec) -> BoundResult:
+    """End-to-end certificate for the best constructible bound: the case
+    of :func:`chosen_case`, its checked :func:`construct`, and the target's
+    closure certified trivial.  A Refuted verdict raises: it would mean the
+    construction is wrong, which must never pass silently."""
+    chosen = chosen_case(spec)
+    schedule, target = construct(spec, chosen.case)
     unlink = certify_unlink(target)
     if unlink.verdict is Verdict.REFUTED:
         raise AssertionError(

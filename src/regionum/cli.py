@@ -16,21 +16,21 @@ from .bounds import (
     CaseNotCovered,
     NotProperError,
     bound,
-    explicit_schedule,
-    target_word,
+    chosen_case,
+    construct,
     verify_bound,
 )
 from .braid import format_word, parse_word, toric_braid
 from .diagram import close_braid
-from .invariants import MAX_STRANDS, jones
+from .invariants import jones
+from .limits import refuse_over
 from .properness import (
-    ORACLE_MAX_CROSSINGS,
     TorusLinkSpec,
     is_proper_closed_form,
     is_proper_diagram_oracle,
     is_proper_power_form,
 )
-from .search import brute_force_uR, check_region_count, sharpness_probe
+from .search import brute_force_uR, sharpness_probe
 from .templates import WORD_FAMILIES
 
 EXIT_OK = 0
@@ -42,28 +42,16 @@ def _spec(args) -> TorusLinkSpec:
     return TorusLinkSpec(args.p, args.q)
 
 
-def _refuse_huge_diagram(spec: TorusLinkSpec) -> None:
-    """Refuse a spec with more crossings than ``proper`` lets its diagram
-    oracle build: its diagram would be too big."""
-    if spec.crossings > ORACLE_MAX_CROSSINGS:
-        raise ValueError(
-            f"K({spec.p},{spec.q}) has {spec.crossings} crossings, "
-            f"over {ORACLE_MAX_CROSSINGS}"
-        )
-
-
 def cmd_proper(args) -> int:
     spec = _spec(args)
     closed = is_proper_closed_form(args.p, args.q)
     checks = {"closed": closed, "power": is_proper_power_form(args.p, args.q)}
-    if spec.crossings <= ORACLE_MAX_CROSSINGS:
-        checks["oracle"] = is_proper_diagram_oracle(args.p, args.q)
+    try:
+        refuse_over("MAX_CROSSINGS", spec.crossings, "crossings", f"K({args.p},{args.q})")
+    except ValueError as exc:
+        print(f"proper: diagram oracle skipped: {exc}", file=sys.stderr)
     else:
-        print(
-            f"proper: diagram oracle skipped: K({spec.p},{spec.q}) has "
-            f"{spec.crossings} crossings, over {ORACLE_MAX_CROSSINGS}",
-            file=sys.stderr,
-        )
+        checks["oracle"] = is_proper_diagram_oracle(args.p, args.q)
     if len(set(checks.values())) > 1:
         values = ", ".join(f"{name}={value}" for name, value in checks.items())
         print(f"internal error: predicates disagree ({values})", file=sys.stderr)
@@ -94,35 +82,29 @@ def cmd_bound(args) -> int:
 
 def cmd_schedule(args) -> int:
     spec = _spec(args)
-    _refuse_huge_diagram(spec)
-    best = next((r for r in bound(spec) if r.constructible), None)
-    if best is None:
-        raise CaseNotCovered(f"no constructible case covers K({spec.p},{spec.q})")
-    schedule = explicit_schedule(spec, best.case)
-    print(f"case: {best.case.value}")
+    case = chosen_case(spec).case
+    schedule, target = construct(spec, case)
+    print(f"case: {case.value}")
     print(f"regions ({len(schedule)}): {' '.join(map(str, schedule.region_ids))}")
-    print(f"target: {format_word(target_word(spec, best.case))}")
+    print(f"target: {format_word(target)}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     spec = _spec(args)
-    _refuse_huge_diagram(spec)
     result = verify_bound(spec)
     certificate = result.certificate
-    if certificate.unlink.jones_matches_unlink is None:
-        print(
-            f"verify: Jones check skipped: the target has "
-            f"{certificate.target.strands} strands, over MAX_STRANDS {MAX_STRANDS}",
-            file=sys.stderr,
-        )
+    try:
+        refuse_over("MAX_STRANDS", certificate.target.strands, "strands", "the target")
+    except ValueError as exc:
+        print(f"verify: Jones check skipped: {exc}", file=sys.stderr)
     print(certificate.to_json(spec, result.case, result.bound))
     return EXIT_OK
 
 
 def cmd_brute(args) -> int:
     spec = _spec(args)
-    check_region_count(spec.crossings + 2)  # the diagram's regions, before it is built
+    refuse_over("MAX_SEARCH_REGIONS", spec.regions, "regions", f"K({args.p},{args.q})")
     diagram = close_braid(toric_braid(spec.p, spec.q))
     report = brute_force_uR(diagram, args.max_k)
     print(
@@ -165,9 +147,11 @@ def cmd_jones(args) -> int:
 
 
 def cmd_word(args) -> int:
-    build = WORD_FAMILIES.get(args.family)
-    if build is None:
+    if args.family not in WORD_FAMILIES:
         raise ValueError(f"unknown family {args.family}")
+    letters, build = WORD_FAMILIES[args.family]
+    count = letters(*(max(x, 0) for x in (args.p, args.i, args.j)))  # builders refuse x < 0
+    refuse_over("MAX_CROSSINGS", count, "letters", f"the {args.family} word")
     print(format_word(build(args.p, args.i, args.j)))
     return EXIT_OK
 

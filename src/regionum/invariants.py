@@ -96,8 +96,7 @@ from .braid import (
     closure_components,
 )
 from .laurent import LOOP, LaurentPoly
-
-MAX_STRANDS = 12  # 924 half-diagrams in 7 cell modules, the largest of 297
+from .limits import MAX_STRANDS, refuse_over
 
 # Extra bits of slot width over the measured L1 norm when the state is
 # repacked.  The norm bound doubles per letter, so this many letters pass
@@ -586,9 +585,7 @@ def kauffman_bracket(w: BraidWord) -> LaurentPoly:
     """
     p = w.strands
     if p > MAX_STRANDS:
-        raise ValueError(
-            f"strand count {p} exceeds the transfer-matrix guard {MAX_STRANDS}"
-        )
+        refuse_over("MAX_STRANDS", p, "strands", "the word")
     rows, columns, split = _shape(p)
     cost = rows * columns * len(w.letters)
     if _splits(columns, cost) and (cost >= _START_COST or _worker_running()):

@@ -14,12 +14,6 @@ from math import gcd
 
 from .diagram import toric_diagram
 
-# The diagram oracle builds the whole standard diagram, whose region rows
-# take about L^2 / 16 bytes for L crossings: 0.01 s and 22 MB of peak RSS
-# at this limit, 1.4 s and 912 MB at 90 000 crossings.  The CLI's
-# `verify` and `schedule` refuse larger specs for the same reason.
-ORACLE_MAX_CROSSINGS = 10_000
-
 
 @dataclasses.dataclass(frozen=True)
 class TorusLinkSpec:
@@ -42,6 +36,11 @@ class TorusLinkSpec:
     @property
     def crossings(self) -> int:
         return (self.p - 1) * self.q
+
+    @property
+    def regions(self) -> int:
+        """Regions of the standard diagram: crossings + 2, as it is connected."""
+        return self.crossings + 2
 
     @property
     def is_knot(self) -> bool:

@@ -31,10 +31,9 @@ from itertools import combinations
 from .braid import BraidWord, closure_components, toric_braid
 from .diagram import PlanarDiagram, close_braid
 from .invariants import Verdict, burau_alexander, certify_unlink, refutes_unlink
+from .limits import refuse_over
 from .properness import TorusLinkSpec, is_proper
 from .bounds import NotProperError, bound
-
-MAX_REGIONS = 30
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,12 +43,6 @@ class SearchReport:
     witness: tuple[int, ...] | None  # region ids achieving `exact`
     explored: int  # subsets tested
     inconclusive: int  # subsets the oracle could not decide
-
-
-def check_region_count(n_regions: int) -> None:
-    """Refuse to enumerate the subsets of more than ``MAX_REGIONS`` regions."""
-    if n_regions > MAX_REGIONS:
-        raise ValueError(f"{n_regions} regions exceed the enumeration guard {MAX_REGIONS}")
 
 
 def _rotation_period(base: tuple[int, ...]) -> int:
@@ -103,7 +96,7 @@ def brute_force_uR(diagram: PlanarDiagram, k_max: int) -> SearchReport:
     if k_max < 0:
         raise ValueError(f"subset size bound must be >= 0, got {k_max}")
     n_regions = len(diagram.rows)
-    check_region_count(n_regions)
+    refuse_over("MAX_SEARCH_REGIONS", n_regions, "regions", "the diagram")
     if not diagram.linking_data().is_proper:
         raise NotProperError("diagram is not proper; no subset can trivialize it")
     strands = diagram.strands
@@ -192,11 +185,7 @@ class SharpnessProbe:
 def sharpness_probe(spec: TorusLinkSpec) -> SharpnessProbe:
     """Compare the exact search against the smallest theorem bound on the
     standard diagram of a small torus link."""
-    if spec.crossings > 16:
-        raise ValueError(
-            f"K({spec.p},{spec.q}) has {spec.crossings} crossings; "
-            "the probe is limited to 16"
-        )
+    refuse_over("MAX_PROBE_CROSSINGS", spec.crossings, "crossings", f"K({spec.p},{spec.q})")
     if not is_proper(spec.p, spec.q):
         return SharpnessProbe(
             spec=spec, proper=False, theorem_bound=None, search=None,
@@ -205,7 +194,7 @@ def sharpness_probe(spec: TorusLinkSpec) -> SharpnessProbe:
     results = bound(spec)
     theorem = results[0].bound if results else None
     diagram = close_braid(toric_braid(spec.p, spec.q))
-    k_max = theorem if theorem is not None else (spec.crossings + 2) // 2
+    k_max = theorem if theorem is not None else spec.regions // 2
     report = brute_force_uR(diagram, k_max)
     improves = (
         theorem is not None

@@ -207,14 +207,15 @@ def eight_block_word(p: int, i: int) -> BraidWord:
     return BraidWord(p, tuple(x for block in blocks for x in block))
 
 
-# Named word families for the CLI; each builder takes (p, i, j).
+# Named word families for the CLI: each maps (p, i, j) to its letter count,
+# in closed form so that a huge word is refused unbuilt, and to the word.
 WORD_FAMILIES = {
-    "mu": lambda p, i, j: mu(p, i),
-    "nu": lambda p, i, j: nu(p, i),
-    "staircase": lambda p, i, j: staircase_word(p),
-    "mirror_staircase": lambda p, i, j: mirror_staircase_word(p),
-    "three_block": lambda p, i, j: three_block_word(p),
-    "generator_run": lambda p, i, j: generator_run_word(i, j),
-    "eight_block": lambda p, i, j: eight_block_word(p, i),
-    "toric": lambda p, i, j: toric_braid(p, i),
+    "mu": (lambda p, i, j: p - 1, lambda p, i, j: mu(p, i)),
+    "nu": (lambda p, i, j: p - 1, lambda p, i, j: nu(p, i)),
+    "staircase": (lambda p, i, j: p * (p - 1), lambda p, i, j: staircase_word(p)),
+    "mirror_staircase": (lambda p, i, j: p * (p - 1), lambda p, i, j: mirror_staircase_word(p)),
+    "three_block": (lambda p, i, j: 3 * (p - 1), lambda p, i, j: three_block_word(p)),
+    "generator_run": (lambda p, i, j: 2 * abs(i - j) + 2, lambda p, i, j: generator_run_word(i, j)),
+    "eight_block": (lambda p, i, j: 32, lambda p, i, j: eight_block_word(p, i)),
+    "toric": (lambda p, i, j: (p - 1) * i, lambda p, i, j: toric_braid(p, i)),
 }

@@ -18,7 +18,8 @@ from regionum.bounds import (
     verify_bound,
 )
 from regionum.diagram import toric_diagram
-from regionum.invariants import MAX_STRANDS, Verdict, certify_unlink
+from regionum.invariants import Verdict, certify_unlink
+from regionum.limits import MAX_STRANDS
 from regionum.properness import TorusLinkSpec, is_proper
 
 

@@ -12,6 +12,7 @@ import pytest
 from regionum import bounds
 from regionum.cli import main
 from regionum.invariants import UnlinkCertificate, Verdict
+from regionum.properness import is_proper
 
 
 def run(capsys, *argv):
@@ -210,7 +211,7 @@ def test_bad_input_is_refused_in_one_line(capsys, argv, _):
 @pytest.mark.parametrize(
     "argv,err",
     [
-        (["probe", "4", "6"], "probe: K(4,6) has 18 crossings; the probe is limited to 16\n"),
+        (["probe", "4", "6"], "probe: K(4,6) has 18 crossings, over MAX_PROBE_CROSSINGS 16\n"),
         (["word", "--family", "staircase", "--p", "0"], "word: need p >= 1, got 0\n"),
         (["word", "--family", "mirror_staircase", "--p", "0"], "word: need p >= 1, got 0\n"),
     ],
@@ -271,22 +272,73 @@ def test_proper_skips_the_diagram_oracle_on_a_huge_diagram():
     assert (done.returncode, done.stdout) == (0, "proper (knot)\n"), done.stderr
     assert done.stderr == (
         "proper: diagram oracle skipped: K(1000000,1000001) has 999999999999 crossings, "
-        "over 10000\n"
+        "over MAX_CROSSINGS 10000\n"
     )
 
 
-@pytest.mark.parametrize("command", ["brute", "verify", "schedule"])
+# Each oversized input and the limit its refusal names.  A bare command
+# runs on K(2,1000001), 10^6 crossings.
+HUGE_INPUTS = {
+    "brute": "MAX_SEARCH_REGIONS",
+    "verify": "MAX_CROSSINGS",
+    "schedule": "MAX_CROSSINGS",
+    "probe 1000 1001": "MAX_PROBE_CROSSINGS",
+    "jones 1 --strands 13": "MAX_STRANDS",
+    "word --family toric --p 1000000 --i 1000000": "MAX_CROSSINGS",
+    "word --family mu --p 1000000000 --i 1": "MAX_CROSSINGS",
+    "word --family generator_run --i 1 --j 3000000000": "MAX_CROSSINGS",
+    "word --family staircase --p 1000": "MAX_CROSSINGS",
+}
+
+
+@pytest.mark.parametrize("command", list(HUGE_INPUTS))
 def test_huge_diagram_is_refused_before_it_is_built(command):
-    # 10^6 crossings: building the diagram would raise MemoryError under
-    # these limits, after `schedule` had printed two lines
+    # Building the diagram or word would raise MemoryError under these
+    # limits, or run out of CPU time (the staircase word of 1000 strands
+    # took 39 s), and `schedule` once printed two lines first.
+    argv = command.split() if " " in command else [command, "2", "1000001"]
     done = run_python(f"""
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
         resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
         from regionum.cli import main
 
-        sys.exit(main(["{command}", "2", "1000001"]))
+        sys.exit(main({argv!r}))
     """)
     assert (done.returncode, done.stdout) == (1, ""), done.stderr
     assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith(f"{command}: ")
+    assert done.stderr.startswith(f"{argv[0]}: ")
+    assert f", over {HUGE_INPUTS[command]} " in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_schedule_prints_the_case_regions_and_target_verify_certifies(capsys):
+    for p in range(2, 7):
+        for q in range(p + 1, 6 * p + 6):
+            if not is_proper(p, q):
+                continue
+            code, out, _ = run(capsys, "verify", str(p), str(q))
+            assert code == 0
+            cert = json.loads(out)
+            assert run(capsys, "schedule", str(p), str(q)) == (0, "".join([
+                f"case: {cert['case']}\n",
+                f"regions ({len(cert['regions'])}): {' '.join(map(str, cert['regions']))}\n",
+                f"target: {' '.join(map(str, cert['target_word']))}\n",
+            ]), "")
+
+
+@pytest.mark.parametrize("command", ["schedule", "verify"])
+def test_a_printed_target_the_schedule_does_not_make_exits_2(capsys, monkeypatch, command):
+    # K(3,4) is q = np+1 with p odd, whose proof prints staircase(3) mu(3,1);
+    # a printed word the schedule does not produce must stop both commands
+    # before they print anything
+    case = bounds.TheoremCase.NP1_P_ODD
+    record = bounds._CASES[case]
+    wrong = record._replace(target=lambda p, n, a: record.target(p, n, a).mirror())
+    monkeypatch.setitem(bounds._CASES, case, wrong)
+    code, out, err = run(capsys, command, "3", "4")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal inconsistency:")

@@ -27,12 +27,11 @@ from _oracles import (
 )
 from _words import braid_words, random_connected_word, signed_runs, unlink_closures
 from regionum import invariants, worker
-from regionum.bounds import bound, target_word, verify_bound
-from regionum.braid import BraidWord, closure_components, parse_word, toric_braid
+from regionum.bounds import bound, chosen_case, target_word, verify_bound
+from regionum.braid import BraidWord, closure_components, handle_reduce, parse_word, toric_braid
 from regionum.invariants import (
     BURAU_PRIME,
     BURAU_T,
-    MAX_STRANDS,
     Verdict,
     alexander_refutes,
     burau_alexander,
@@ -42,6 +41,7 @@ from regionum.invariants import (
     unlink_jones,
 )
 from regionum.laurent import LOOP, LaurentPoly
+from regionum.limits import MAX_STRANDS
 from regionum.properness import TorusLinkSpec, is_proper
 from regionum.search import sharpness_probe
 from regionum.templates import staircase_word, three_block_word
@@ -127,6 +127,24 @@ def test_bracket_matches_dict_sweep_on_random_words():
     for _ in range(100):
         w = _random_word(rng, 8, 40)
         assert kauffman_bracket(w) == dict_bracket(w), w
+
+
+def test_handle_reduction_keeps_the_jones_polynomial():
+    # Handle reduction rewrites a word by braid relations only, so the
+    # reduced word is the same braid and its closure has the same Jones
+    # polynomial: running Jones on the reduced target rests on this.
+    grid = [
+        TorusLinkSpec(p, q)
+        for p in range(2, 7)
+        for q in range(p + 1, 6 * p + 6)
+        if is_proper(p, q)
+    ]
+    words = [target_word(spec, chosen_case(spec).case) for spec in grid]
+    assert len(words) == 111
+    rng = random.Random(41)
+    words += [_random_word(rng, 8, 60) for _ in range(300)]
+    for w in words:
+        assert jones(handle_reduce(w)) == jones(w), w
 
 
 def _target(p):
@@ -441,6 +459,23 @@ def _python(code, timeout=60):
         [sys.executable, "-c", textwrap.dedent(code)],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
+
+
+def test_a_grid_pass_leaves_the_worker_unimported():
+    # The grid's sweeps are too small to split, and the bracket imports
+    # regionum.worker only for a sweep that forks it, so neither importing
+    # regionum nor certifying the grid pays for compiling the worker.
+    done = _python("""
+        import sys
+        from regionum import TorusLinkSpec, is_proper, verify_bound
+
+        for p in range(2, 7):
+            for q in range(p + 1, 6 * p + 6):
+                if is_proper(p, q):
+                    verify_bound(TorusLinkSpec(p, q))
+        sys.exit("regionum.worker" in sys.modules)
+    """)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.skipif(

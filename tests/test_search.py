@@ -15,8 +15,8 @@ from regionum.invariants import (
     alexander_refutes,
     certify_unlink,
 )
+from regionum.limits import MAX_SEARCH_REGIONS as MAX_REGIONS
 from regionum.search import (
-    MAX_REGIONS,
     _rotation_period,
     brute_force_uR,
     sharpness_probe,

@@ -5,6 +5,7 @@ import pytest
 from regionum.braid import closure_components, handle_reduce
 from regionum.invariants import Verdict, certify_unlink, jones, unlink_jones
 from regionum.templates import (
+    WORD_FAMILIES,
     eight_block_word,
     eta_ladder_words,
     even_ladder_words,
@@ -122,3 +123,17 @@ def test_eight_block_shifted_copies_certify():
     cert = certify_unlink(eight_block_word(13, 5))
     assert cert.verdict is Verdict.CERTIFIED
     assert cert.components == 5  # one extra untouched strand
+
+
+def test_word_family_letter_counts_are_the_word_lengths():
+    # `regionum word` refuses a word by this closed-form count before it
+    # builds the word, so the count must be the word's length
+    for name, (letters, build) in WORD_FAMILIES.items():
+        for p in range(1, 15):
+            for i in range(16):
+                for j in range(6):
+                    try:
+                        w = build(p, i, j)
+                    except ValueError:
+                        continue
+                    assert letters(p, i, j) == len(w.letters), (name, p, i, j)
