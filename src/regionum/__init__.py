@@ -11,8 +11,6 @@ from .bounds import (
     TheoremCase,
     bound,
     explicit_schedule,
-    flip_vector_for,
-    target_word,
     verify_bound,
 )
 from .braid import (
@@ -62,7 +60,6 @@ __all__ = [
     "close_braid",
     "closure_components",
     "explicit_schedule",
-    "flip_vector_for",
     "format_word",
     "handle_reduce",
     "is_proper",
@@ -74,7 +71,6 @@ __all__ = [
     "markov_simplify",
     "parse_word",
     "sharpness_probe",
-    "target_word",
     "toric_braid",
     "toric_diagram",
     "verify_bound",

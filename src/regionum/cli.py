@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success/verified, 1 domain refusal (bad input, not proper,
-case not covered; one line on stderr), 2 internal inconsistency.  All
-numeric output is exact.
+case not covered; one line on stderr) or a stdout closed early (nothing
+on stderr), 2 internal inconsistency.  All numeric output is exact.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import os
 import sys
 
 from .bounds import (
@@ -107,19 +109,7 @@ def cmd_brute(args) -> int:
     refuse_over("MAX_SEARCH_REGIONS", spec.regions, "regions", f"K({args.p},{args.q})")
     diagram = close_braid(toric_braid(spec.p, spec.q))
     report = brute_force_uR(diagram, args.max_k)
-    print(
-        json.dumps(
-            {
-                "p": spec.p,
-                "q": spec.q,
-                "exact": report.exact,
-                "lower_bound": report.lower_bound,
-                "witness": None if report.witness is None else list(report.witness),
-                "explored": report.explored,
-                "inconclusive": report.inconclusive,
-            }
-        )
-    )
+    print(json.dumps({"p": spec.p, "q": spec.q, **dataclasses.asdict(report)}))
     return EXIT_OK
 
 
@@ -159,11 +149,12 @@ def cmd_word(args) -> int:
 def cmd_table(args) -> int:
     if args.p_min > args.p_max or args.q_min > args.q_max:
         raise ValueError(f"empty range p {args.p_min}..{args.p_max}, q {args.q_min}..{args.q_max}")
-    specs = [
+    TorusLinkSpec(args.p_min, args.q_min)  # the ranges ascend, so every later spec is valid too
+    specs = (  # one at a time: a range may hold billions
         TorusLinkSpec(p, q)
         for p in range(args.p_min, args.p_max + 1)
         for q in range(args.q_min, args.q_max + 1)
-    ]
+    )
     # The case names contain commas, so fields are quoted as CSV needs.
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(
@@ -238,7 +229,14 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # As Python's notes on SIGPIPE advise: stdout goes to devnull, so
+        # the flush at exit cannot fail again, and the exit code is 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
     except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -143,12 +143,20 @@ class _Cells(NamedTuple):
     reads (see :func:`_group`): a pair of :data:`_Groups`, the cups of
     parity 0 and those of parity 1.
 
-    ``parity`` gives each row 0 or 1 such that every row that e_i sends
-    to a cup row has the other parity than that cup row.  It exists because switching
-    one crossing's smoothing changes the power of A by 2 and the loop
-    count by 1, so all exponents of one entry of rho_j(x) lie in one
-    class mod 4: A^(2 parity(T) - 2 parity(B)) times powers of A^4, up to
-    a shift shared by every entry.
+    ``parity`` gives each row the parity of the sum of its arcs' left
+    endpoints, flipped per module so that the module's first row has 0.
+    Every row that e_i sends to a cup row then has the other parity than
+    that cup row.  e_i replaces the arcs at i and i+1 by the cup (i, i+1)
+    plus an arc joining their old partners, or it moves the defect at one
+    of them to the other's partner.  No arc encloses a defect or an odd
+    number of points, so the sum of left endpoints changes by an odd
+    amount in each of the five cases: partners on both sides, both
+    partners nested to the right, both nested to the left, a defect at i,
+    a defect at i+1.  The parity exists because switching one crossing's
+    smoothing changes the power of A by 2 and the loop count by 1, so all
+    exponents of one entry of rho_j(x) lie in one class mod 4:
+    A^(2 parity(T) - 2 parity(B)) times powers of A^4, up to a shift
+    shared by every entry.
     """
 
     columns: int
@@ -186,44 +194,21 @@ def _cells(p: int) -> _Cells:
                 if b >= 0:
                     image[b] = a
                 pull.setdefault(ids[tuple(image)], []).append(t)
-    parity = _two_colouring(len(states), pulls)
+    first: dict[int, int] = {}  # each module's first row's parity, before the flip
+    parity = []
+    for s in states:  # see _Cells
+        left = sum(a for a, b in enumerate(s) if a < b) & 1
+        parity.append(left ^ first.setdefault(s.count(-1), left))
     dims = Counter(s.count(-1) for s in states)
     return _Cells(
         max(dims.values()),
         tuple(sorted(dims.items())),
-        parity,
+        tuple(parity),
         tuple(
             tuple(_group({c: pre for c, pre in pull.items() if parity[c] == k}) for k in (0, 1))
             for pull in pulls
         ),
     )
-
-
-def _two_colouring(rows: int, pulls: list[dict[int, list[int]]]) -> tuple[int, ...]:
-    """0 or 1 for each row, the lowest row of each connected part 0, such
-    that each cup in ``pulls`` and each of its preimages differ.  Raises
-    ArithmeticError when there is none: the sweep's layout needs it."""
-    edges: list[list[int]] = [[] for _ in range(rows)]
-    for pull in pulls:
-        for c, pre in pull.items():
-            edges[c].extend(pre)
-            for a in pre:
-                edges[a].append(c)
-    parity = [-1] * rows
-    for root in range(rows):
-        if parity[root] >= 0:
-            continue
-        parity[root] = 0
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            for u in edges[t]:
-                if parity[u] < 0:
-                    parity[u] = parity[t] ^ 1
-                    stack.append(u)
-                elif parity[u] == parity[t]:
-                    raise ArithmeticError(f"rows {t} and {u} are joined by e_i and share a parity")
-    return tuple(parity)
 
 
 def _group(pull: dict[int, list[int]]) -> _Groups:

@@ -220,13 +220,67 @@ def test_refusal_names_the_value(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 
 
+# The environment of a fresh interpreter that imports this checkout.
+CHECKOUT_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def run_python(code):
     """Run ``code`` in a fresh interpreter that imports this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=CHECKOUT_ENV,
     )
+
+
+def test_table_streams_and_a_closed_stdout_ends_it_quietly():
+    # 10^10 rows: a table built before its first row is printed raises
+    # MemoryError under 1 GB of address space.  Once the reader has gone,
+    # the next flush fails and the command must end at once, exit 1,
+    # with no traceback.
+    code = """
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from regionum.cli import main
+
+        sys.exit(main(["table", "2", "100000", "2", "100000"]))
+    """
+    with subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHECKOUT_ENV,
+    ) as proc:
+        try:
+            lines = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            returncode = proc.wait(timeout=5)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+    assert lines == [
+        "p,q,components,proper,min_bound,case,constructible\n",
+        "2,2,2,no,,,\n",
+        "2,3,1,yes,1,p = 2 (exact value),yes\n",
+    ]
+    assert (returncode, err) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "proper 3 4", "bound 3 4", "schedule 3 4", "verify 4 5", "brute 2 7",
+        "probe 3 4", "jones 1", "word --family staircase --p 3", "table 2 3 2 5",
+    ],
+)
+def test_a_stdout_closed_before_the_output_ends_the_command_quietly(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "regionum.cli", *argv.split()],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60, env=CHECKOUT_ENV,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 @pytest.mark.skipif(

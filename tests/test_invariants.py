@@ -289,6 +289,10 @@ def test_cell_modules_split_the_algebra_and_its_trace():
             assert d == math.comb(p, k) - (math.comb(p, k - 1) if k else 0)
         assert cells.columns == max(dims.values())
         assert invariants._shape(p)[:2] == (sum(dims.values()), cells.columns)
+        first = 0
+        for j, d in cells.modules:  # the row parity starts each module at 0
+            assert cells.parity[first] == 0, (p, j)
+            first += d
         assert sum(d * d for d in dims.values()) == math.comb(2 * p, p) // (p + 1)
         trace = LaurentPoly.zero()
         for j, d in dims.items():

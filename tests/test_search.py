@@ -200,6 +200,35 @@ def test_exact_unless_an_undecided_subset_is_smaller(monkeypatch, undecided_size
     assert report.exact == (2 if undecided_size == 2 else None)
 
 
+def test_lower_bound_only_when_every_certified_word_is_undecided(monkeypatch):
+    # No witness, but undecided subsets: the report is a lower bound at
+    # the first undecided subset's size.  The certifier is inconclusive on
+    # every word inside the writhe window and refutes the rest, so the
+    # search, which refutes those itself, only ever hears inconclusive,
+    # and the oracle, which has no window, must give the same report.
+    diagram = close_braid(toric_braid(3, 4))
+
+    def fake_certify(w):
+        verdict = Verdict.INCONCLUSIVE if _inside_window(w) else Verdict.REFUTED
+        return UnlinkCertificate(verdict, 1, None, ())
+
+    monkeypatch.setattr(search, "refutes_unlink", lambda *args: False)
+    monkeypatch.setattr(search, "certify_unlink", fake_certify)
+    monkeypatch.setattr(_oracles, "certify_unlink", fake_certify)
+    certified = _record_calls(monkeypatch, "certify_unlink")
+    report = brute_force_uR(diagram, 3)
+    expected, _ = _oracles.brute_force_uR(diagram, 3)
+    assert report == expected
+    assert certified and all(_inside_window(w) for w in certified)
+    ids = range(1, len(diagram.rows) + 1)
+    first = next(
+        k for k in range(4) for s in combinations(ids, k)
+        if _inside_window(diagram.region_crossing_changes(s).word())
+    )
+    assert (report.exact, report.witness, report.lower_bound) == (None, None, first)
+    assert report.inconclusive >= 1
+
+
 def test_search_matches_oracle_without_rotation_symmetry(monkeypatch):
     # Period L: each key is the flip int itself, so the memo skips only
     # subsets whose flips repeat an earlier subset's (they differ by a
