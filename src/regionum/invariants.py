@@ -42,13 +42,15 @@ coefficient of A^(exp + 4s + 2 parity(T) - 2 parity(B)) in column B of
 row T, where D is the largest dimension and ``exp`` is shared, and
 multiplying by A^4 is one shift by D slots.  A letter rewrites only the
 rows with a cup at its generator, each from the rows e_i sends to it,
-with one shift.  Every slot stays exact because the L1 norm over all
-slots at most doubles per letter, and the state is repacked at a width
-fitting its exact norm before the bound could reach a slot's sign bit.
-At the end each row's diagonal entry is read off, the traces are
-weighted by Delta_j, and the sum is divided by delta exactly: a
-remainder would be a bug and raises, it is never dropped.  :func:`_sweep`
-has the details.
+with one shift.  Every slot stays exact because it is bounded by its
+column's norm, the L1 norm over the rows and levels of that column,
+and as a letter acts on each column on its own, that norm at most
+doubles per letter.  The sweep carries a bound on the largest column
+norm and repacks the state at a width fitting its exact largest column
+norm before that bound could reach a slot's sign bit.  At the end each
+row's diagonal entry is read off, the traces are weighted by Delta_j,
+and the sum is divided by delta exactly: a remainder would be a bug and
+raises, it is never dropped.  :func:`_sweep` has the details.
 
 The column split.  As no letter mixes columns, the sweep of any range of
 columns runs on its own, with slots for those columns only, and reads
@@ -79,10 +81,10 @@ import itertools
 import os
 import sys
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import add, and_, lshift, mul, or_, rshift
+from operator import lshift, rshift
 from typing import Callable, NamedTuple
 
 from .braid import (
@@ -98,10 +100,15 @@ from .braid import (
 from .laurent import LOOP, LaurentPoly
 from .limits import MAX_STRANDS, refuse_over
 
-# Extra bits of slot width over the measured L1 norm when the state is
-# repacked.  The norm bound doubles per letter, so this many letters pass
-# between two repacks.
-_HEADROOM_BITS = 16
+# Extra bits of slot width, beyond a sign bit and a bit for the next
+# letter, over the largest column norm measured when the state is
+# repacked.  The bound on that norm doubles per letter, so at least this
+# many letters and one more pass between two repacks.  Measured on the
+# K(p,p+1) target sweeps, whole and split, and on the grid's: at 13 no
+# slot width moves at p <= 10 or on the grid; below 12 the widths move
+# between 16 and 24 bits on the grid and at p = 7 and 8, from 14 on
+# between 24 and 32 at p = 10, and a move costs about two repacks.
+_HEADROOM_BITS = 13
 
 # Empty low levels (powers of A^4) a negative letter's right shifts may use
 # up, one per letter, before every row is shifted left again; see
@@ -291,9 +298,10 @@ def _fits(norm: int, width: int) -> bool:
 
 
 def _slot_width(norm: int) -> int:
-    """Bits per packed coefficient for a vector of L1 norm ``norm``: a
-    sign bit plus headroom, rounded up to whole bytes."""
-    return (norm.bit_length() + 1 + _HEADROOM_BITS + 7) & ~7
+    """Bits per packed coefficient for a state whose largest column norm is
+    ``norm``: a sign bit, a bit for the next letter, which may double the
+    norm, and headroom, rounded up to whole bytes."""
+    return (norm.bit_length() + 2 + _HEADROOM_BITS + 7) & ~7
 
 
 def _unpack(v: int, width: int) -> list[int]:
@@ -322,62 +330,85 @@ def _map_in_place(v: list[int], op: Callable[[int, int], int], bits: int) -> Non
         v[s : s + _CHUNK] = map(op, v[s : s + _CHUNK], repeat(bits))
 
 
-def _respread(v: list[int], slots: int, width: int, new_width: int) -> None:
+def _respread(v: list[int], width: int, new_width: int) -> None:
     """Move slot j of each signed packed int in ``v`` from bit ``width * j``
-    to bit ``new_width * j``, in place.  Each int has at most ``slots``
-    slots, and every coefficient must fit in both widths with its sign.
-    Biased, every slot is non-negative; the widths are whole bytes, so each
-    byte position of a slot is then one strided slice over the bytes of a
-    chunk of ints."""
+    to bit ``new_width * j``, in place.  Every coefficient must fit in both
+    widths with its sign.  Biased, every slot is non-negative; the widths
+    are whole bytes, so each byte position of a slot is then one strided
+    slice over the int's bytes.  A row at a time keeps its bytes in cache,
+    each over its own slots only, and the bytes of a new slot above the
+    old width stay 0."""
     top = min(width, new_width) - 1  # a slot biased by 2^top fits either width
     nb, new_nb = width >> 3, new_width >> 3
+    slots = max(map(int.bit_length, v)) // width + 1
     bias, new_bias = _ones(width, slots) << top, _ones(new_width, slots) << top
-    size = slots * new_nb
-    for s in range(0, len(v), _CHUNK):
-        biased = map(add, v[s : s + _CHUNK], repeat(bias))
-        buf = b"".join(map(int.to_bytes, biased, repeat(slots * nb), repeat("little")))
-        out = bytearray(len(buf) // nb * new_nb)
-        for b in range(min(nb, new_nb)):
-            out[b::new_nb] = buf[b::nb]
-        view = memoryview(out)
-        v[s : s + _CHUNK] = [
-            int.from_bytes(view[k : k + size], "little") - new_bias
-            for k in range(0, len(out), size)
-        ]
+    out = bytearray(slots * new_nb)
+    view = memoryview(out)
+    for k, x in enumerate(v):
+        if x:
+            n = x.bit_length() // width + 1  # the row's slots
+            buf = (x + (bias >> (slots - n) * width)).to_bytes(n * nb, "little")
+            for b in range(min(nb, new_nb)):
+                out[b : n * new_nb : new_nb] = buf[b::nb]
+            v[k] = int.from_bytes(view[: n * new_nb], "little") - (
+                new_bias >> (slots - n) * new_width
+            )
+
+
+def _fold(x: int, level: int) -> int:
+    """The residue of ``x`` >= 0 modulo 2^level - 1 in [0, 2^level), found
+    by adding its halves, split at a multiple of ``level``, until it fits
+    in one level: 2^(k level) is 1 modulo 2^level - 1."""
+    while x >> level:
+        half = (x.bit_length() // level + 1) // 2 * level
+        x = (x >> half) + (x & ((1 << half) - 1))
+    return x
 
 
 def _repack(v: list[int], width: int, columns: int) -> tuple[int, int, int]:
-    """Measure the exact L1 norm and the lowest used level (a run of
+    """Measure the largest column norm and the lowest used level (a run of
     ``columns`` slots) of the packed rows ``v``, and pack them again in
-    place, from that level on, at the width the norm needs.  Returns their
-    norm, their width and the levels dropped.  The L1 norm must be below
-    2^(width-1).
+    place, from that level on, at the width that norm needs.  Slot k of a
+    row lies in column k mod ``columns``, and a column's norm is the L1
+    norm of its slots over every row and level.  Returns the largest
+    column norm, the width and the levels dropped.  Every column's norm
+    must be below 2^(width-1).
 
     Adding a bias of 2^(width-1) to every slot turns slot c into
     c + 2^(width-1), in [1, 2^width), with no carry; its top bit is set
-    exactly where c >= 0.  Spreading each top bit over the low width-1
-    bits of its slot and masking the biased int with the result gives P,
-    the row's non-negative slots, and P - v holds the negated negative
-    ones.  An int is congruent to the sum of its slots modulo 2^width - 1,
-    carries included, and the slots of all P, like those of all P - v, sum
-    to less than that, so sum(P) and sum(P) - sum(v) taken modulo it add
-    up to the exact L1 norm.
+    exactly where c >= 0.  Turning each top bit into the low width-1 bits
+    of its slot and masking the biased int with the result gives P, the
+    row's non-negative slots, and P - v holds the negated negative ones,
+    so 2 P - v holds every slot's absolute value.  An int is congruent to
+    the sum of its levels modulo 2^level - 1, with level = ``columns``
+    width bits, carries included: folded so (:func:`_fold`), the sum of
+    2 P - v over all rows is one level whose slot B holds the norm of
+    column B, as no column's norm reaches 2^(width-1) and so none carries.
+    Unfolded, that sum's lowest non-zero slot is the lowest non-zero slot
+    of any row, as its slots add absolute values.  One pass over the rows
+    reads P and v together, a row at a time and each over its own slots
+    only: rows of the small modules are short or 0.
     """
-    acc = reduce(or_, v, 0)
+    slots = max(map(int.bit_length, v)) // width + 1
+    top = width - 1
+    bias = _ones(width, slots) << top
+    pos = total = 0
+    for x in v:
+        if x:
+            row_bias = bias >> (slots - x.bit_length() // width - 1) * width
+            biased = x + row_bias
+            signs = biased & row_bias  # 2^top in each slot of a coefficient >= 0
+            pos += biased & (signs - (signs >> top))
+            total += x
+    absolute = 2 * pos - total
     level = columns * width
-    low = ((acc & -acc).bit_length() - 1) // level if acc else 0
+    norm = max(_unpack(_fold(absolute, level), width), default=0)
+    low = ((absolute & -absolute).bit_length() - 1) // level if absolute else 0
     if low:
         _map_in_place(v, rshift, low * level)
-    slots = max(map(int.bit_length, v)) // width + 1
-    bias = _ones(width, slots) << (width - 1)
-    signs = map(and_, map(add, v, repeat(bias)), repeat(bias))
-    masks = map(mul, map(rshift, signs, repeat(width - 1)), repeat((1 << (width - 1)) - 1))
-    pos = sum(map(and_, map(add, v, repeat(bias)), masks))
-    mod = (1 << width) - 1
-    norm = pos % mod + (pos - sum(v)) % mod
     new_width = _slot_width(norm)
     if new_width != width:
-        _respread(v, slots, width, new_width)
+        _respread(v, width, new_width)
     return norm, new_width, low
 
 
@@ -404,10 +435,14 @@ def _sweep(p: int, letters: tuple[int, ...], lo: int, hi: int) -> tuple[int, lis
     the term of c itself picks up its loop, A^2 (-A^2 - A^-2) = -A^4 - 1
     for a positive letter and A^-2 (-A^2 - A^-2) = -1 - A^-4 for a
     negative one, which with the identity's 1 leaves -A^4 and -A^-4.  Each
-    row feeds itself and at most one other, so the L1 norm over all slots
-    at most doubles per letter.  ``norm`` tracks that bound, from the
-    identity's 1s in the range; before it could reach the sign bit of a
-    slot, the state is repacked at a width fitting its exact norm.
+    row feeds itself and at most one other, within each column, so the
+    norm of a column, the L1 norm of its slots over all rows and levels,
+    at most doubles per letter, and it bounds every slot of the column.
+    ``norm`` tracks that bound for the largest column, from the
+    identity's: the number of modules that have column ``lo``, at most
+    floor(p/2) + 1.  Before it could reach the sign bit of a slot, the
+    state is repacked (:func:`_repack`) at a width fitting its exact
+    largest column norm.
 
     Every preimage of c has the other parity, so the weight A^(+-2) moves
     its terms half a level, which lands on a whole level of c: for a
@@ -435,12 +470,14 @@ def _sweep(p: int, letters: tuple[int, ...], lo: int, hi: int) -> tuple[int, lis
     parities cancel.  Biased by 2^(width-1), every slot is non-negative,
     so shifting T's column down to slot 0 and masking keeps exactly that
     entry at every level.  The sum over the rows of V_j is the part of
-    Tr rho_j in the range, each coefficient at most the norm and so exact,
-    and the parts are weighted by Delta_j into ``total``.
+    Tr rho_j in the range: each lane, slot 0 of a level, adds at most
+    ``columns`` entries, each below 2^(width-1), so it stays below
+    2^(level-1) and unpacks exactly.  The parts are weighted by Delta_j
+    into ``total``.
     """
     cells = _cells(p)
     columns = hi - lo
-    norm = sum(max(min(dim, hi) - lo, 0) for _, dim in cells.modules)
+    norm = sum(dim > lo for _, dim in cells.modules)
     width = _slot_width(norm)
     v = [
         1 << (width * (r - lo)) if lo <= r < hi else 0
@@ -513,17 +550,21 @@ def _shape(p: int) -> tuple[int, int, int]:
     """The rows, the columns and the split column of the sweep on ``p``
     strands, from the dimensions d = C(p, k) - C(p, k - 1) of the cell
     modules alone, so that the worker can start on a sweep before this
-    process has built the tables.  The split column c halves the work
-    best: the columns below c hold min(d, c) d of the d^2 entries of each
-    module, and c brings their sum closest to half the total."""
+    process has built the tables.  The split column c halves the cost of
+    the columns: column B has one entry in each row of the m(B) modules
+    with d > B, and each entry costs 4 plus the bit length of m(B), the
+    column's norm at the identity.  Columns that more modules share carry
+    larger norms and longer rows; the weight was fitted to the two
+    halves' times on the K(p,p+1) target sweeps for p = 7..11 (2 vCPUs,
+    Python 3.11), where it balances them within 10 % up to p = 10."""
     dims = [comb(p, k) - (comb(p, k - 1) if k else 0) for k in range(p // 2 + 1)]
     columns = max(dims)
-    entries = sum(d * d for d in dims)
-    split = min(
-        range(1, columns),
-        key=lambda c: abs(2 * sum(min(d, c) * d for d in dims) - entries),
-        default=0,
-    )
+    costs = [
+        sum(d for d in dims if d > b) * (4 + sum(d > b for d in dims).bit_length())
+        for b in range(columns)
+    ]
+    below = list(itertools.accumulate(costs))  # below[c - 1]: the columns below c
+    split = min(range(1, columns), key=lambda c: abs(2 * below[c - 1] - below[-1]), default=0)
     return sum(dims), columns, split
 
 

@@ -10,7 +10,7 @@ packed-integer one: matchings as tuples, coefficients as ``LaurentPoly``
 dicts.  It is slow but direct, and reaches words the 2^c state sum
 cannot.  ``slot_repack`` is the packed sweep's repack as it was before it
 stopped looping over slots: it unpacks every coefficient, sums their
-absolute values and packs them again.
+absolute values column by column and packs them again.
 
 ``handle_reduce``, ``markov_simplify`` and their helpers below
 (``free_reduce``, ``cyclic_shift`` and ``conjugate`` among them) are
@@ -207,12 +207,18 @@ def pack(coeffs: list[int], width: int) -> int:
 
 def slot_repack(v: list[int], width: int, columns: int) -> tuple[list[int], int, int, int]:
     """Reference for ``invariants._repack``, one coefficient at a time:
-    the repacked rows, their norm, their width and the levels (runs of
-    ``columns`` slots) dropped."""
+    the repacked rows, their largest column norm, their width and the
+    levels (runs of ``columns`` slots) dropped.  Slot k of a row lies in
+    column k mod ``columns``, and a column's norm is the L1 norm of its
+    slots over every row and level."""
     level = columns * width
     low = min((((x & -x).bit_length() - 1) // level for x in v if x), default=0)
     unpacked = [_unpack(x >> (low * level), width) for x in v]
-    norm = sum(abs(c) for cs in unpacked for c in cs)
+    sums = [0] * columns
+    for cs in unpacked:
+        for k, c in enumerate(cs):
+            sums[k % columns] += abs(c)
+    norm = max(sums)
     new_width = _slot_width(norm)
     return [pack(cs, new_width) for cs in unpacked], norm, new_width, low
 

@@ -232,7 +232,8 @@ def test_packed_slots_are_exact_up_to_the_sign_guard():
     for norm in (1, 2, 127, 128, 1 << 40):
         width = invariants._slot_width(norm)
         assert width % 8 == 0
-        assert invariants._fits(norm << invariants._HEADROOM_BITS, width)
+        # the next letter may double the norm before the headroom counts
+        assert invariants._fits(norm << (invariants._HEADROOM_BITS + 1), width)
 
 
 def _packed_states(rng, width, top, count, columns):
@@ -271,6 +272,96 @@ def test_repack_matches_the_per_slot_reference():
                 dropped.add(expected[3])
         assert moves == {-1, 0, 1}
         assert dropped >= {0, 1, 2, 3}
+
+
+def _column_norms(v, width, columns):
+    """The L1 norm of each column of the packed rows ``v``, read one slot
+    at a time from their two's-complement bytes: slot k lies in column
+    k mod ``columns``, and a slot at or above 2^(width-1) is negative and
+    borrows from the next."""
+    nb = width // 8
+    norms = [0] * columns
+    for x in v:
+        size = x.bit_length() // width + 2
+        data = x.to_bytes(size * nb, "little", signed=True)
+        borrow = 0
+        for k in range(size):
+            c = int.from_bytes(data[k * nb : (k + 1) * nb], "little") + borrow
+            borrow = c >= 1 << (width - 1)
+            norms[k % columns] += abs(c - (borrow << width))
+    return norms
+
+
+def _watched_sweep(monkeypatch, p, letters, lo, hi):
+    """``_sweep(p, letters, lo, hi)`` with its state unpacked at every
+    letter and every repack.  The bound the sweep carries starts at the
+    identity's largest column norm, is set by each repack and doubles per
+    letter; every column's norm must stay within it and it within a
+    slot's sign bit, and each repack must return the largest column norm
+    of the rows it was given.  Returns the sweep's result and its repack
+    count."""
+    columns = hi - lo
+    pull, repack = invariants._pull, invariants._repack
+    carried = []  # the bound, once the first letter has read the identity
+    repacks = []
+
+    def watched_pull(v, outer, inner, shift, right):
+        width = shift // columns
+        if not carried:
+            start = _column_norms(v, width, columns)
+            assert max(start) == sum(dim > lo for _, dim in invariants._cells(p).modules)
+            carried.append(max(start))
+        pull(v, outer, inner, shift, right)
+        carried[0] <<= 1
+        assert invariants._fits(carried[0], width)
+        assert max(_column_norms(v, width, columns)) <= carried[0]
+
+    def watched_repack(v, width, columns_):
+        assert columns_ == columns
+        norms = _column_norms(v, width, columns)
+        assert max(norms) <= carried[0]
+        result = repack(v, width, columns)
+        assert result[0] == max(norms)
+        assert _column_norms(v, result[1], columns) == norms
+        carried[0] = result[0]
+        repacks.append(result)
+        return result
+
+    monkeypatch.setattr(invariants, "_pull", watched_pull)
+    monkeypatch.setattr(invariants, "_repack", watched_repack)
+    try:
+        return invariants._sweep(p, letters, lo, hi), len(repacks)
+    finally:
+        monkeypatch.setattr(invariants, "_pull", pull)
+        monkeypatch.setattr(invariants, "_repack", repack)
+
+
+@pytest.mark.parametrize("headroom", [0, invariants._HEADROOM_BITS], ids=["tight", "default"])
+def test_the_carried_bound_holds_every_column(monkeypatch, headroom):
+    # Every repack of real sweeps, and every letter in between, checked
+    # against the unpacked rows: random words, both halves of split
+    # targets and long runs of one sign, with tight slots and default ones.
+    monkeypatch.setattr(invariants, "_HEADROOM_BITS", headroom)
+    rng = random.Random(59)
+    sweeps = []
+    for p in range(3, 10):
+        columns = invariants._cells(p).columns
+        for _ in range(2):
+            w = BraidWord(p, tuple(rng.choice([1, -1]) * rng.randint(1, p - 1) for _ in range(90 // p + 12)))
+            sweeps.append((w, 0, columns))
+    for p in (7, 8):
+        _, columns, split = invariants._shape(p)
+        w = _target(p)
+        sweeps += [(w, 0, split), (w, split, columns)]
+    for p, sign in ((4, 1), (5, -1), (6, -1)):
+        runs = tuple(sign * rng.randint(1, p - 1) for _ in range(60))
+        sweeps.append((BraidWord(p, runs + tuple(-x for x in runs[:20])), 0, invariants._cells(p).columns))
+    repacks = 0
+    for w, lo, hi in sweeps:
+        part, count = _watched_sweep(monkeypatch, w.strands, w.letters, lo, hi)
+        assert part == invariants._sweep(w.strands, w.letters, lo, hi)
+        repacks += count
+    assert repacks >= len(sweeps)
 
 
 def test_cell_modules_split_the_algebra_and_its_trace():
