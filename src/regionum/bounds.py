@@ -3,22 +3,28 @@ machine-checked certificates.
 
 Every bound comes from a case of the form q = n*p + a.  The case registry
 ``_CASES`` holds one record per :class:`TheoremCase`: when the case
-applies, its bound formula, its schedule builder (none for a closed
-formula) and the target word its proof prints (if any).  A schedule is an
-explicit list of region ids of the standard closed-braid diagram: region
-crossing changes there turn the torus braid into a braid word whose
-closure is a trivial link.  The region arithmetic is expressed through the
-index sets
+applies, its bound formula, its schedule (none for a closed formula) and
+the target word its proof prints (if any).  A schedule is an explicit
+list of region ids of the standard closed-braid diagram: region crossing
+changes there turn the torus braid into a braid word whose closure is a
+trivial link.  The region arithmetic is expressed through the index sets
 
     X_i = {2i(p-1), 2i(p-1) - 2, ..., 2i(p-1) - 2(i-1)}
 
-shifted by per-row-block offsets.  Certificates are verified end to end:
-the schedule is applied to the diagram, the resulting word is compared
-against the printed target word where the proof gives one, and the
-closure is certified trivial.  The GF(2) view of the region incidence
-system cross-checks the diagram: the XOR of the schedule's region rows
-must be the target word's sign-flip pattern, so the schedule itself
-realizes that pattern with exactly the advertised number of regions.
+Every schedule but the 2-braid's is h = n + delta staircase row blocks of
+p rows (delta in {-1, 0, +1} per case; mu.nu double blocks for even p, so
+h is even there) followed by a tail that depends only on (p, a).  So the
+block lemma holds by construction: one more block (two for even p) puts a
+staircase block in front of the same schedule, shifted by its crossings,
+and a trivial block word in front of the target.
+
+Certificates are verified end to end: the schedule is applied to the
+diagram, the resulting word is compared against the printed target word
+where the proof gives one, and the closure is certified trivial.  The
+GF(2) view of the region incidence system cross-checks the diagram: the
+XOR of the schedule's region rows must be the target word's sign-flip
+pattern, so the schedule itself realizes that pattern with exactly the
+advertised number of regions.
 """
 
 from __future__ import annotations
@@ -126,160 +132,91 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _X(i: int, p: int) -> list[int]:
-    return [2 * i * (p - 1) - 2 * t for t in range(i)]
-
-
 def _X_union(kmax: int, p: int) -> list[int]:
-    return [x for i in range(1, kmax + 1) for x in _X(i, p)]
+    """X_1, ..., X_kmax in order."""
+    return [2 * i * (p - 1) - 2 * t for i in range(1, kmax + 1) for t in range(i)]
 
 
-def _mu_rows(p: int, n_blocks: int) -> list[int]:
-    """Region ids of the staircase selection on row blocks 1..n_blocks,
-    p rows per block (p odd)."""
-    base = _X_union((p - 1) // 2, p)
-    return [
-        (i - 1) * (p - 1) * p + x for i in range(1, n_blocks + 1) for x in base
-    ]
+def _rows(p: int, h: int) -> list[int]:
+    """Region ids of the staircase selection on row blocks 1..h, p rows of
+    p - 1 crossings each: a mu block each for odd p, a mu.nu double block
+    per two blocks for even p (h even)."""
+    block = _X_union(p // 2, p)
+    if p % 2 == 0:
+        c0 = (p - 1) * (2 * p - 1) + 1
+        block += [c0 - x for x in _X_union(p // 2 - 1, p)]
+    return [i * p * (p - 1) + x for i in range(0, h, 2 - p % 2) for x in block]
 
 
-def _mn_rows(p: int, n_blocks: int) -> list[int]:
-    """Region ids of the staircase-plus-mirror selection on double blocks
-    1..n_blocks, 2p rows per block (p even)."""
-    c0 = (p - 1) * (2 * p - 1) + 1
-    base = _X_union(p // 2, p) + [c0 - x for x in _X_union((p - 2) // 2, p)]
-    return [
-        (i - 1) * (p - 1) * 2 * p + x for i in range(1, n_blocks + 1) for x in base
-    ]
+def _two_braid(q: int) -> list[int]:
+    """Every other bigon: adjacent bigon ids share a crossing."""
+    return [2 * k + 1 for k in range((q + 2) // 4)]
 
 
-# --- schedule builders -------------------------------------------------
-# Each takes (p, n, a) with q = n*p + a and returns the 1-based region
-# ids of the standard diagram in selection order.
+# --- schedule tails ------------------------------------------------------
+# Each takes (p, a) and returns region ids measured from the end of the
+# staircase head, in selection order.
 
 
-def _sched_two_braid(p: int, n: int, a: int) -> list[int]:
-    # disjoint bigons; adjacent bigon ids share a crossing, so take every
-    # other id
-    m = (n * p + a + 2) // 4
-    return [2 * k + 1 for k in range(m)]
+def _no_tail(p: int, a: int) -> list[int]:
+    return []
 
 
-def _sched_mu_only(p: int, n: int, a: int) -> list[int]:
-    return _mu_rows(p, n)
+def _back_one_row(p: int, a: int) -> list[int]:
+    """q = np - 1 (odd p) or np - 2 (even p): X_1..X_{(p-1)//2}, a row early."""
+    return [x - (p - 1) for x in _X_union((p - 1) // 2, p)]
 
 
-def _sched_mn_only(p: int, n: int, a: int) -> list[int]:
-    return _mn_rows(p, n // 2)
+def _np2_tail(p: int, a: int) -> list[int]:
+    return [p - 1 - 4 * j for j in range((p + 1) // 4)]
 
 
-def _sched_np1_even_odd(p: int, n: int, a: int) -> list[int]:
-    head = _mn_rows(p, (n - 1) // 2)
-    off = (n - 1) * p * (p - 1)
-    return head + [off + x for x in _X_union(p // 2, p)]
+def _ladder_ids(p: int, a: int, batches: int) -> list[int]:
+    """``batches`` ladder batches of odd width a, stepping back a crossings."""
+    return [x - j * a for j in range(batches) for x in _X_union((a - 1) // 2, p)]
 
 
-def _sched_np2_odd(p: int, n: int, a: int) -> list[int]:
-    m = (p + 1) // 4  # p = 4m +- 1
-    off = (n * p + 1) * (p - 1)
-    return _mu_rows(p, n) + [off - 4 * j for j in range(m)]
+def _div_tail(p: int, a: int) -> list[int]:
+    return _ladder_ids(p, a, (p + 1) // a)
 
 
-def _sched_np2_even(p: int, n: int, a: int) -> list[int]:
-    off = (n * p + 1) * (p - 1)
-    return _mn_rows(p, n // 2) + [off - 4 * j for j in range(p // 4)]
+def _2mod_tail(p: int, a: int) -> list[int]:
+    singles = [p + 4 * k * (p - 1) for k in range((a + 2) // 4)]
+    return _ladder_ids(p, a, (p - 2) // a) + singles
 
 
-def _sched_even_ladder(p: int, n: int, a: int) -> list[int]:
-    head = _mn_rows(p, (n - 1) // 2)
-    off = (n - 1) * p * (p - 1)
-    tail = list(_X_union(p // 2, p))
-    c1 = (p + a - 1) * (p - 1) + 1
-    for j in range(p // a):
-        tail.extend(j * a + c1 - x for x in _X_union((a - 2) // 2, p))
-    return head + [off + x for x in tail]
-
-
-def _odd_head(p: int, n: int) -> list[int]:
-    return _mu_rows(p, n) if p % 2 else _mn_rows(p, n // 2)
-
-
-def _sched_odd_ladder_div(p: int, n: int, a: int) -> list[int]:
-    off = n * p * (p - 1)
-    tail = [
-        off - j * a + x
-        for j in range((p + 1) // a)
-        for x in _X_union((a - 1) // 2, p)
-    ]
-    return _odd_head(p, n) + tail
-
-
-def _sched_odd_ladder_2mod(p: int, n: int, a: int) -> list[int]:
-    m = (a + 2) // 4  # a = 4m -+ 1
-    off = n * p * (p - 1)
-    tail = [
-        off - j * a + x
-        for j in range((p - 2) // a)
-        for x in _X_union((a - 1) // 2, p)
-    ]
-    single_base = (n * p + 1) * (p - 1) + 1
-    singles = [single_base + 4 * k * (p - 1) for k in range(m)]
-    return _odd_head(p, n) + tail + singles
-
-
-def _sched_odd_ladder_m2mod(p: int, n: int, a: int) -> list[int]:
-    off = n * p * (p - 1)
+def _m2mod_tail(p: int, a: int) -> list[int]:
     batches = (p + 2) // a - 1
-    tail = [
-        off - j * a + x for j in range(batches) for x in _X_union((a - 1) // 2, p)
-    ]
-    tail += [off - batches * a + x for x in _X_union((a - 3) // 2, p)]
-    single_base = (n * p + a - 2) * (p - 1) + (a - 3)
-    singles = [single_base - 4 * k for k in range(a // 4)]
-    return _odd_head(p, n) + tail + singles
+    short = [x - batches * a for x in _X_union((a - 3) // 2, p)]
+    singles = [(a - 2) * (p - 1) + a - 3 - 4 * k for k in range(a // 4)]
+    return _ladder_ids(p, a, batches) + short + singles
 
 
-def _sched_npm1_odd(p: int, n: int, a: int) -> list[int]:
-    n1 = n + 1
-    head = _mu_rows(p, n1 - 1)
-    off = ((n1 - 1) * p - 1) * (p - 1)
-    return head + [off + x for x in _X_union((p - 1) // 2, p)]
+def _mu_tail(p: int, a: int) -> list[int]:
+    """The mu half of one more double block (even p, after h = n - 1)."""
+    return _X_union(p // 2, p)
 
 
-def _sched_npm1_even(p: int, n: int, a: int) -> list[int]:
-    return _mn_rows(p, (n + 1) // 2)
+def _even_ladder_tail(p: int, a: int) -> list[int]:
+    c1 = (p + a - 1) * (p - 1) + 1
+    rungs = [j * a + c1 - x for j in range(p // a) for x in _X_union((a - 2) // 2, p)]
+    return _mu_tail(p, a) + rungs
 
 
-def _sched_npm2_n_odd(p: int, n: int, a: int) -> list[int]:
-    n1 = n + 1
-    head = _mn_rows(p, (n1 - 1) // 2)
-    off = ((n1 - 1) * p - 1) * (p - 1)
-    return head + [off + x for x in _X_union((p - 2) // 2, p)]
-
-
-def _sched_npm2_n_even(p: int, n: int, a: int) -> list[int]:
-    n1 = n + 1
-    head = _mn_rows(p, (n1 - 2) // 2)
-    off = (n1 - 2) * p * (p - 1)
-    tail = list(_X_union(p // 2, p))
+def _npm2_even_tail(p: int, a: int) -> list[int]:
     c1 = (2 * p - 3) * (p - 1) + 2
-    tail += [c1 - x for x in _X_union((p - 4) // 2, p)]
-    tail += [(p + 5 + 4 * i) * (p - 1) for i in range(p // 4 - 1)]
-    return head + [off + x for x in tail]
+    mirror = [c1 - x for x in _X_union((p - 4) // 2, p)]
+    singles = [(p + 5 + 4 * i) * (p - 1) for i in range(p // 4 - 1)]
+    return _mu_tail(p, a) + mirror + singles
 
 
-def _sched_np3_even_odd(p: int, n: int, a: int) -> list[int]:
-    m = (p + 2) // 6
-    head = _mn_rows(p, (n - 1) // 2)
-    off = (n - 1) * p * (p - 1)
-    mid = [off + x for x in _X_union(p // 2, p)]
-    single_base = (n * p + 2) * (p - 1) - 2
-    singles = [single_base - 6 * i for i in range(m)]
-    return head + mid + singles
+def _np3_tail(p: int, a: int) -> list[int]:
+    singles = [(p + 2) * (p - 1) - 2 - 6 * i for i in range((p + 2) // 6)]
+    return _mu_tail(p, a) + singles
 
 
 # --- bound formulas and printed target words ----------------------------
-# The ``_*_bound`` formulas take (p, n, a) like the schedule builders.
+# The ``_*_bound`` formulas take (p, n, a) like the case predicates.
 
 
 def _base(p: int, n: int) -> int:
@@ -333,13 +270,15 @@ def _power(w: BraidWord, k: int) -> BraidWord:
 
 class _Case(NamedTuple):
     """One theorem case: whether it applies, its bound, its schedule
-    builder (None for a closed formula) and the target word its proof
-    prints (None if the proof prints none).  Each takes (p, n, a) with
-    q = n*p + a."""
+    (h = n + ``head`` staircase row blocks, then ``tail``, which is None
+    for a closed formula) and the target word its proof prints (None if
+    the proof prints none).  ``tail`` takes (p, a), the others (p, n, a)
+    with q = n*p + a."""
 
     applies: Callable[[int, int, int], bool]
     bound: Callable[[int, int, int], int]
-    schedule: Callable[[int, int, int], list[int]] | None
+    head: int
+    tail: Callable[[int, int], list[int]] | None
     target: Callable[[int, int, int], BraidWord] | None
 
 
@@ -348,82 +287,83 @@ class _Case(NamedTuple):
 _CASES = {
     TheoremCase.TWO_BRAID: _Case(
         lambda p, n, a: p == 2, lambda p, n, a: (n * p + a + 2) // 4,
-        _sched_two_braid, None),
+        0, _no_tail, None),  # scheduled by _two_braid, not by the head and tail
     TheoremCase.NP_P_ODD: _Case(
-        lambda p, n, a: a == 0 and p % 2, _staircase_bound, _sched_mu_only,
+        lambda p, n, a: a == 0 and p % 2, _staircase_bound, 0, _no_tail,
         lambda p, n, a: _power(staircase_word(p), n)),
     TheoremCase.NP1_P_ODD: _Case(
-        lambda p, n, a: a == 1 and p % 2, _staircase_bound, _sched_mu_only,
+        lambda p, n, a: a == 1 and p % 2, _staircase_bound, 0, _no_tail,
         lambda p, n, a: _power(staircase_word(p), n) * mu(p, 1)),
     TheoremCase.NP1_P_EVEN_N_ODD: _Case(
         lambda p, n, a: a == 1 and p % 2 == 0 and n % 2,
-        lambda p, n, a: _exact_div(n * p * p + 2 * p, 8), _sched_np1_even_odd,
+        lambda p, n, a: _exact_div(n * p * p + 2 * p, 8), -1, _mu_tail,
         lambda p, n, a: (
             _power(_mn(p), (n - 1) // 2) * staircase_segment(p, 1, p) * mu(p, p))),
     TheoremCase.NP_P_N_EVEN: _Case(
         lambda p, n, a: a == 0 and p % 2 == n % 2 == 0, _staircase_bound,
-        _sched_mn_only, lambda p, n, a: _power(_mn(p), n // 2)),
+        0, _no_tail, lambda p, n, a: _power(_mn(p), n // 2)),
     TheoremCase.NP1_P_N_EVEN: _Case(
         lambda p, n, a: a == 1 and p % 2 == n % 2 == 0, _staircase_bound,
-        _sched_mn_only, lambda p, n, a: _power(_mn(p), n // 2) * mu(p, 1)),
+        0, _no_tail, lambda p, n, a: _power(_mn(p), n // 2) * mu(p, 1)),
     TheoremCase.NP2_P_ODD: _Case(
         lambda p, n, a: a == 2 and p % 2,
-        lambda p, n, a: _base(p, n) + (p + 1) // 4, _sched_np2_odd, None),
+        lambda p, n, a: _base(p, n) + (p + 1) // 4, 0, _np2_tail, None),
     TheoremCase.NP2_P_N_EVEN: _Case(
         lambda p, n, a: a == 2 and p % 4 == n % 2 == 0,
-        lambda p, n, a: _exact_div(n * p * p + 2 * p, 8), _sched_np2_even, None),
+        lambda p, n, a: _exact_div(n * p * p + 2 * p, 8), 0, _np2_tail, None),
     TheoremCase.NPA_EVEN_DIV: _Case(
         lambda p, n, a: a >= 2 and a % 2 == 0 and p % a == 0 and n % 2,
-        lambda p, n, a: _exact_div(n * p * p + a * p, 8), _sched_even_ladder, None),
+        lambda p, n, a: _exact_div(n * p * p + a * p, 8), -1, _even_ladder_tail,
+        None),
     TheoremCase.NPA_P_ODD_DIV: _Case(
         lambda p, n, a: a >= 3 and a % 2 and p % a in (0, 1, a - 1) and p % 2,
-        _div_bound, _sched_odd_ladder_div, None),
+        _div_bound, 0, _div_tail, None),
     TheoremCase.NPA_P_N_EVEN_DIV: _Case(
         lambda p, n, a: (
             a >= 3 and a % 2 and p % a in (0, 1, a - 1) and p % 2 == n % 2 == 0),
-        _div_bound, _sched_odd_ladder_div, None),
+        _div_bound, 0, _div_tail, None),
     # for a = 3, p = 2 mod a is p = -1 mod a, a DIV case
     TheoremCase.NPA_P_ODD_2MODA: _Case(
         lambda p, n, a: a >= 5 and a % 2 and p % a == 2 and p % 2,
-        _2mod_bound, _sched_odd_ladder_2mod, None),
+        _2mod_bound, 0, _2mod_tail, None),
     TheoremCase.NPA_P_N_EVEN_2MODA: _Case(
         lambda p, n, a: a >= 5 and a % 2 and p % a == 2 and p % 2 == n % 2 == 0,
-        _2mod_bound, _sched_odd_ladder_2mod, None),
+        _2mod_bound, 0, _2mod_tail, None),
     TheoremCase.NPA_P_ODD_M2MODA: _Case(
         lambda p, n, a: a >= 5 and a % 2 and p % a == a - 2 and p % 2,
-        _m2mod_bound, _sched_odd_ladder_m2mod, None),
+        _m2mod_bound, 0, _m2mod_tail, None),
     TheoremCase.NPA_P_N_EVEN_M2MODA: _Case(
         lambda p, n, a: a >= 5 and a % 2 and p % a == a - 2 and p % 2 == n % 2 == 0,
-        _m2mod_bound, _sched_odd_ladder_m2mod, None),
+        _m2mod_bound, 0, _m2mod_tail, None),
     # q = n1*p - 1 and q = n1*p - 2 with n1 = n + 1
     TheoremCase.NPM1_P_ODD: _Case(
         lambda p, n, a: a == p - 1 and p % 2, lambda p, n, a: _base(p, n + 1),
-        _sched_npm1_odd,
+        0, _back_one_row,
         lambda p, n, a: _power(staircase_word(p), n) * staircase_segment(p, 2, p)),
     TheoremCase.NPM1_P_N_EVEN: _Case(
         lambda p, n, a: a == p - 1 and p % 2 == 0 and n % 2,
-        lambda p, n, a: _base(p, n + 1), _sched_npm1_even,
+        lambda p, n, a: _base(p, n + 1), 1, _no_tail,
         lambda p, n, a: _power(_mn(p), (n - 1) // 2) * staircase_word(p)
         * mirror_staircase_segment(p, 1, p - 1)),
     TheoremCase.NPM2_P_EVEN_N_ODD: _Case(
         lambda p, n, a: a == p - 2 and p % 2 == n % 2 == 0,
-        lambda p, n, a: _exact_div((n + 1) * p * p - 2 * p, 8), _sched_npm2_n_odd,
+        lambda p, n, a: _exact_div((n + 1) * p * p - 2 * p, 8), 0, _back_one_row,
         lambda p, n, a: _power(_mn(p), n // 2) * staircase_segment(p, 2, p - 1)),
     TheoremCase.NPM2_P_N_EVEN: _Case(
         lambda p, n, a: a == p - 2 and p % 4 == 0 and n % 2,
-        lambda p, n, a: _exact_div((n + 1) * p * p - 2 * p, 8), _sched_npm2_n_even,
+        lambda p, n, a: _exact_div((n + 1) * p * p - 2 * p, 8), -1, _npm2_even_tail,
         None),
     TheoremCase.NP3_P_EVEN_N_ODD: _Case(
         lambda p, n, a: a == 3 and p % 2 == 0 and n % 2,
         lambda p, n, a: _exact_div(n * p * p + 2 * p, 8) + (p + 2) // 6,
-        _sched_np3_even_odd,
+        -1, _np3_tail,
         lambda p, n, a: _power(_mn(p), (n - 1) // 2) * staircase_word(p)
         * three_block_word(p)),
     TheoremCase.NP4_FORMULA: _Case(
         lambda p, n, a: a == 4 and (p % 2 or p % 4 == 0 and (n % 2 or p % 8 == 0)),
-        _np4_bound, None, None),
+        _np4_bound, 0, None, None),
     TheoremCase.NP5_FORMULA: _Case(
-        lambda p, n, a: a == 5 and (p % 2 or n % 2 == 0), _np5_bound, None, None),
+        lambda p, n, a: a == 5 and (p % 2 or n % 2 == 0), _np5_bound, 0, None, None),
 }
 
 
@@ -457,7 +397,7 @@ def bound(spec: TorusLinkSpec) -> list[BoundResult]:
     p = spec.p
     n, a = divmod(spec.q, p)
     results = [
-        BoundResult(spec, case, rec.bound(p, n, a), rec.schedule is not None)
+        BoundResult(spec, case, rec.bound(p, n, a), rec.tail is not None)
         for case, rec in _CASES.items()
         if _applies(case, p, n, a)
     ]
@@ -471,12 +411,22 @@ def bound(spec: TorusLinkSpec) -> list[BoundResult]:
     return results
 
 
+def _schedule_ids(case: TheoremCase, p: int, n: int, a: int) -> list[int]:
+    """A constructible case's region ids in selection order: h = n + delta
+    staircase row blocks, then the case's tail after them."""
+    if case is TheoremCase.TWO_BRAID:
+        return _two_braid(n * p + a)
+    rec = _CASES[case]
+    h = n + rec.head
+    return _rows(p, h) + [h * p * (p - 1) + t for t in rec.tail(p, a)]
+
+
 def explicit_schedule(spec: TorusLinkSpec, case: TheoremCase) -> RegionSchedule:
     """The construction's literal region ids for a constructible case."""
     rec, n, a = _record(spec, case)
-    if rec.schedule is None:
+    if rec.tail is None:
         raise CaseNotCovered(f"{case} is a closed formula without a schedule")
-    ids = rec.schedule(spec.p, n, a)
+    ids = _schedule_ids(case, spec.p, n, a)
     if len(set(ids)) != len(ids):
         raise AssertionError(f"{case}: schedule repeats a region id")
     value = rec.bound(spec.p, n, a)

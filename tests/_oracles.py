@@ -54,6 +54,13 @@ equals the top-corner id on the standard diagrams with q >= 3.
 ``min_weight_solution`` and ``select_bits`` are GF(2) helpers the package
 no longer uses: the least-weight member of a solution coset, and the set
 bits of a mask.
+
+The ``_sched_*`` builders are the theorem schedules as the package built
+them before it composed each one from a staircase head and an n-free
+tail: one builder per case, each taking (p, n, a) with q = n*p + a and
+working out its own block offsets from n, over its own copy of the index
+sets ``X_i``.  ``SCHEDULE_BUILDERS`` maps each constructible case to its
+builder.  The package's schedules must be the same ids in the same order.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from itertools import combinations
 from typing import Sequence
 
 from regionum import braid
+from regionum.bounds import TheoremCase
 from regionum.braid import (
     HANDLE_BUDGET,
     BraidWord,
@@ -690,3 +698,180 @@ def min_weight_solution(rows: Sequence[int], target: int) -> int | None:
 
 def select_bits(mask: int) -> list[int]:
     return [k for k in range(mask.bit_length()) if (mask >> k) & 1]
+
+
+def _X(i: int, p: int) -> list[int]:
+    return [2 * i * (p - 1) - 2 * t for t in range(i)]
+
+
+def _X_union(kmax: int, p: int) -> list[int]:
+    return [x for i in range(1, kmax + 1) for x in _X(i, p)]
+
+
+def _mu_rows(p: int, n_blocks: int) -> list[int]:
+    """Region ids of the staircase selection on row blocks 1..n_blocks,
+    p rows per block (p odd)."""
+    base = _X_union((p - 1) // 2, p)
+    return [
+        (i - 1) * (p - 1) * p + x for i in range(1, n_blocks + 1) for x in base
+    ]
+
+
+def _mn_rows(p: int, n_blocks: int) -> list[int]:
+    """Region ids of the staircase-plus-mirror selection on double blocks
+    1..n_blocks, 2p rows per block (p even)."""
+    c0 = (p - 1) * (2 * p - 1) + 1
+    base = _X_union(p // 2, p) + [c0 - x for x in _X_union((p - 2) // 2, p)]
+    return [
+        (i - 1) * (p - 1) * 2 * p + x for i in range(1, n_blocks + 1) for x in base
+    ]
+
+
+# --- schedule builders -------------------------------------------------
+# Each takes (p, n, a) with q = n*p + a and returns the 1-based region
+# ids of the standard diagram in selection order.
+
+
+def _sched_two_braid(p: int, n: int, a: int) -> list[int]:
+    # disjoint bigons; adjacent bigon ids share a crossing, so take every
+    # other id
+    m = (n * p + a + 2) // 4
+    return [2 * k + 1 for k in range(m)]
+
+
+def _sched_mu_only(p: int, n: int, a: int) -> list[int]:
+    return _mu_rows(p, n)
+
+
+def _sched_mn_only(p: int, n: int, a: int) -> list[int]:
+    return _mn_rows(p, n // 2)
+
+
+def _sched_np1_even_odd(p: int, n: int, a: int) -> list[int]:
+    head = _mn_rows(p, (n - 1) // 2)
+    off = (n - 1) * p * (p - 1)
+    return head + [off + x for x in _X_union(p // 2, p)]
+
+
+def _sched_np2_odd(p: int, n: int, a: int) -> list[int]:
+    m = (p + 1) // 4  # p = 4m +- 1
+    off = (n * p + 1) * (p - 1)
+    return _mu_rows(p, n) + [off - 4 * j for j in range(m)]
+
+
+def _sched_np2_even(p: int, n: int, a: int) -> list[int]:
+    off = (n * p + 1) * (p - 1)
+    return _mn_rows(p, n // 2) + [off - 4 * j for j in range(p // 4)]
+
+
+def _sched_even_ladder(p: int, n: int, a: int) -> list[int]:
+    head = _mn_rows(p, (n - 1) // 2)
+    off = (n - 1) * p * (p - 1)
+    tail = list(_X_union(p // 2, p))
+    c1 = (p + a - 1) * (p - 1) + 1
+    for j in range(p // a):
+        tail.extend(j * a + c1 - x for x in _X_union((a - 2) // 2, p))
+    return head + [off + x for x in tail]
+
+
+def _odd_head(p: int, n: int) -> list[int]:
+    return _mu_rows(p, n) if p % 2 else _mn_rows(p, n // 2)
+
+
+def _sched_odd_ladder_div(p: int, n: int, a: int) -> list[int]:
+    off = n * p * (p - 1)
+    tail = [
+        off - j * a + x
+        for j in range((p + 1) // a)
+        for x in _X_union((a - 1) // 2, p)
+    ]
+    return _odd_head(p, n) + tail
+
+
+def _sched_odd_ladder_2mod(p: int, n: int, a: int) -> list[int]:
+    m = (a + 2) // 4  # a = 4m -+ 1
+    off = n * p * (p - 1)
+    tail = [
+        off - j * a + x
+        for j in range((p - 2) // a)
+        for x in _X_union((a - 1) // 2, p)
+    ]
+    single_base = (n * p + 1) * (p - 1) + 1
+    singles = [single_base + 4 * k * (p - 1) for k in range(m)]
+    return _odd_head(p, n) + tail + singles
+
+
+def _sched_odd_ladder_m2mod(p: int, n: int, a: int) -> list[int]:
+    off = n * p * (p - 1)
+    batches = (p + 2) // a - 1
+    tail = [
+        off - j * a + x for j in range(batches) for x in _X_union((a - 1) // 2, p)
+    ]
+    tail += [off - batches * a + x for x in _X_union((a - 3) // 2, p)]
+    single_base = (n * p + a - 2) * (p - 1) + (a - 3)
+    singles = [single_base - 4 * k for k in range(a // 4)]
+    return _odd_head(p, n) + tail + singles
+
+
+def _sched_npm1_odd(p: int, n: int, a: int) -> list[int]:
+    n1 = n + 1
+    head = _mu_rows(p, n1 - 1)
+    off = ((n1 - 1) * p - 1) * (p - 1)
+    return head + [off + x for x in _X_union((p - 1) // 2, p)]
+
+
+def _sched_npm1_even(p: int, n: int, a: int) -> list[int]:
+    return _mn_rows(p, (n + 1) // 2)
+
+
+def _sched_npm2_n_odd(p: int, n: int, a: int) -> list[int]:
+    n1 = n + 1
+    head = _mn_rows(p, (n1 - 1) // 2)
+    off = ((n1 - 1) * p - 1) * (p - 1)
+    return head + [off + x for x in _X_union((p - 2) // 2, p)]
+
+
+def _sched_npm2_n_even(p: int, n: int, a: int) -> list[int]:
+    n1 = n + 1
+    head = _mn_rows(p, (n1 - 2) // 2)
+    off = (n1 - 2) * p * (p - 1)
+    tail = list(_X_union(p // 2, p))
+    c1 = (2 * p - 3) * (p - 1) + 2
+    tail += [c1 - x for x in _X_union((p - 4) // 2, p)]
+    tail += [(p + 5 + 4 * i) * (p - 1) for i in range(p // 4 - 1)]
+    return head + [off + x for x in tail]
+
+
+def _sched_np3_even_odd(p: int, n: int, a: int) -> list[int]:
+    m = (p + 2) // 6
+    head = _mn_rows(p, (n - 1) // 2)
+    off = (n - 1) * p * (p - 1)
+    mid = [off + x for x in _X_union(p // 2, p)]
+    single_base = (n * p + 2) * (p - 1) - 2
+    singles = [single_base - 6 * i for i in range(m)]
+    return head + mid + singles
+
+
+# Each case's builder, as the case registry named it before the composer.
+SCHEDULE_BUILDERS = {
+    TheoremCase.TWO_BRAID: _sched_two_braid,
+    TheoremCase.NP_P_ODD: _sched_mu_only,
+    TheoremCase.NP1_P_ODD: _sched_mu_only,
+    TheoremCase.NP1_P_EVEN_N_ODD: _sched_np1_even_odd,
+    TheoremCase.NP_P_N_EVEN: _sched_mn_only,
+    TheoremCase.NP1_P_N_EVEN: _sched_mn_only,
+    TheoremCase.NP2_P_ODD: _sched_np2_odd,
+    TheoremCase.NP2_P_N_EVEN: _sched_np2_even,
+    TheoremCase.NPA_EVEN_DIV: _sched_even_ladder,
+    TheoremCase.NPA_P_ODD_DIV: _sched_odd_ladder_div,
+    TheoremCase.NPA_P_N_EVEN_DIV: _sched_odd_ladder_div,
+    TheoremCase.NPA_P_ODD_2MODA: _sched_odd_ladder_2mod,
+    TheoremCase.NPA_P_N_EVEN_2MODA: _sched_odd_ladder_2mod,
+    TheoremCase.NPA_P_ODD_M2MODA: _sched_odd_ladder_m2mod,
+    TheoremCase.NPA_P_N_EVEN_M2MODA: _sched_odd_ladder_m2mod,
+    TheoremCase.NPM1_P_ODD: _sched_npm1_odd,
+    TheoremCase.NPM1_P_N_EVEN: _sched_npm1_even,
+    TheoremCase.NPM2_P_EVEN_N_ODD: _sched_npm2_n_odd,
+    TheoremCase.NPM2_P_N_EVEN: _sched_npm2_n_even,
+    TheoremCase.NP3_P_EVEN_N_ODD: _sched_np3_even_odd,
+}

@@ -1,26 +1,36 @@
 import hashlib
 import json
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
-from _oracles import min_weight_solution, select_bits
+from _oracles import (
+    SCHEDULE_BUILDERS,
+    _mn_rows,
+    _mu_rows,
+    min_weight_solution,
+    select_bits,
+)
 from regionum import bounds
 from regionum.bounds import (
     CaseNotCovered,
     NotProperError,
     TheoremCase,
     bound,
+    construct,
     explicit_schedule,
     flip_vector_for,
     incidence_rank_data,
     target_word,
     verify_bound,
 )
+from regionum.braid import handle_reduce
 from regionum.diagram import toric_diagram
 from regionum.invariants import Verdict, certify_unlink
 from regionum.limits import MAX_STRANDS
 from regionum.properness import TorusLinkSpec, is_proper
+from regionum.templates import mirror_staircase_word, staircase_word
 
 
 def test_not_proper_raises():
@@ -234,3 +244,78 @@ def test_tied_bounds_keep_case_order():
         TheoremCase.NPM2_P_EVEN_N_ODD,
     ]
     assert verify_bound(TorusLinkSpec(4, 10)).case is TheoremCase.NP2_P_N_EVEN
+
+
+# --- schedules as a staircase head plus an n-free tail ------------------
+
+
+@lru_cache(maxsize=None)
+def _constructible() -> tuple[tuple[TheoremCase, int, int, int], ...]:
+    """Every constructible (case, p, n, a) with q = n*p + a, p = 3..15 and
+    p < q < 8p."""
+    found = []
+    for p in range(3, 16):
+        for q in range(p + 1, 8 * p):
+            try:
+                results = bound(TorusLinkSpec(p, q))
+            except NotProperError:
+                continue
+            found += [(r.case, p, *divmod(q, p)) for r in results if r.constructible]
+    return tuple(found)
+
+
+def _block_step(p: int) -> int:
+    """Staircase row blocks per step of the block lemma: a mu block for odd
+    p, a mu.nu double block for even p."""
+    return 1 if p % 2 else 2
+
+
+def test_composed_schedules_match_the_reference_builders():
+    combos = _constructible()
+    assert len(combos) == 542
+    combos += tuple(
+        (TheoremCase.TWO_BRAID, 2, *divmod(q, 2)) for q in range(3, 16) if is_proper(2, q)
+    )
+    for case, p, n, a in combos:
+        composed = bounds._schedule_ids(case, p, n, a)
+        assert composed == SCHEDULE_BUILDERS[case](p, n, a), (case, p, n * p + a)
+
+
+def test_block_lemma_puts_one_staircase_block_in_front():
+    for case, p, n, a in _constructible():
+        s = _block_step(p)
+        first = _mu_rows(p, 1) if p % 2 else _mn_rows(p, 1)
+        shift = s * p * (p - 1)
+        grown = bounds._schedule_ids(case, p, n + s, a)
+        shifted = [shift + r for r in bounds._schedule_ids(case, p, n, a)]
+        assert grown == first + shifted, (case, p, n * p + a)
+
+
+def test_block_lemma_leaves_the_last_row_free():
+    for case, p, n, a in _constructible():
+        crossings = (p - 1) * (n * p + a)
+        ids = bounds._schedule_ids(case, p, n, a)
+        assert max(ids) <= crossings - (p - 1), (case, p, n * p + a)
+
+
+def _block_word(p: int):
+    """The target word of one step's staircase block."""
+    if p % 2:
+        return staircase_word(p)
+    return staircase_word(p) * mirror_staircase_word(p)
+
+
+def test_block_lemma_prefixes_a_trivial_block_word():
+    targets = {
+        (case, p, n * p + a): construct(TorusLinkSpec(p, n * p + a), case)[1]
+        for case, p, n, a in _constructible()
+    }
+    pairs = 0
+    for (case, p, q), target in targets.items():
+        grown = targets.get((case, p, q + _block_step(p) * p))
+        if grown is not None:
+            assert grown == _block_word(p) * target, (case, p, q)
+            pairs += 1
+    assert pairs == 429
+    for p in range(3, 16):
+        assert handle_reduce(_block_word(p)).letters == (), p
