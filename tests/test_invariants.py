@@ -577,10 +577,15 @@ def test_a_grid_pass_leaves_the_worker_unimported():
     not hasattr(os, "fork") or _cpus() < 2, reason="the sweep splits only with os.fork and 2 CPUs"
 )
 def test_a_worker_killed_mid_call_raises_and_is_replaced():
-    # The patched sweep of this process kills the worker while it sweeps
-    # the other half; the bracket must raise, not return half a trace.
+    # The patched sweep of this process kills the worker after the request
+    # for the other half has gone out; the bracket must raise, not return
+    # half a trace.  The worker is stopped first, so that it cannot reply
+    # before the kill lands: its half takes only a few ms, and a parent
+    # descheduled between the request and the kill would otherwise get a
+    # whole reply and rightly return the bracket.
     code = """
         import os
+        import signal
         from regionum import invariants, worker
         from regionum.braid import toric_braid
 
@@ -590,10 +595,11 @@ def test_a_worker_killed_mid_call_raises_and_is_replaced():
         sweep = invariants._sweep
 
         def killing(*args):
-            os.kill(first, 9)
+            os.kill(first, signal.SIGKILL)
             return sweep(*args)
 
         invariants._sweep = killing
+        os.kill(first, signal.SIGSTOP)
         try:
             invariants.kauffman_bracket(w)
         except ChildProcessError as exc:
