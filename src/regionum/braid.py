@@ -1,5 +1,5 @@
 """Braid words on a fixed strand count: Artin generators, free and handle
-reduction, Markov moves, and closure metadata.
+reduction, Markov moves and the unlink reduction on them, closure metadata.
 
 A braid word is a sequence of nonzero integers.  The letter ``k`` with
 ``0 < |k| < strands`` denotes the Artin generator ``sigma_|k|`` raised to
@@ -9,10 +9,14 @@ A braid word is a sequence of nonzero integers.  The letter ``k`` with
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 import re
 from typing import Iterable, Sequence
 
-HANDLE_BUDGET = 10**6  # handle-reduction steps before BudgetExceeded
+from .limits import HANDLE_BUDGET, REDUCE_MAX_ROUNDS, SEARCH_MAX_NODES
+from .limits import SEARCH_SLACK, SEARCH_STEP_BUDGET
+
 _LETTER = re.compile("[+-]?[0-9]+")  # ASCII only, unlike int()
 
 
@@ -301,3 +305,87 @@ def _conjugate_reduced(v: tuple[int, ...], a: int) -> tuple[int, ...]:
     if v[0] == a:
         return v[1:-1] if v[-1] == -a else v[1:] + (a,)
     return (-a,) + v[:-1] if v[-1] == -a else (-a,) + v + (a,)
+
+
+def reduce_to_unlink(w: BraidWord) -> tuple[BraidWord, ...]:
+    """Try to reduce the closure to a disjoint union of trivial circles by
+    alternating handle reduction with Markov simplification, falling back
+    to a bounded best-first search over Markov moves per stuck piece.
+    Pieces are ``(strands, letters)`` pairs, each freely reduced; returns
+    those the search left, empty iff the closure dissolved."""
+    pieces = [(w.strands, tuple(_free_reduce_list(w.letters)))]
+    for _ in range(REDUCE_MAX_ROUNDS):
+        progressed = False
+        next_pieces: list[tuple[int, tuple[int, ...]]] = []
+        for piece in pieces:
+            parts = _split_core(*piece)
+            for strands, part in parts:
+                free = part if len(parts) == 1 else tuple(_free_reduce_list(part))
+                try:
+                    reduced = _handle_core(free)
+                except BudgetExceeded:
+                    reduced = free
+                simplified = _markov_core(strands, reduced)
+                if len(simplified[1]) < len(part) or simplified[0] < strands:
+                    progressed = True
+                next_pieces.append(simplified)
+        pieces = [p for p in next_pieces if p[1]]
+        if not pieces or not progressed:
+            break
+    return tuple(BraidWord(*p) for p in pieces if not _search_dissolves(*p))
+
+
+def _search_dissolves(
+    strands: int, letters: tuple[int, ...], max_nodes: int = SEARCH_MAX_NODES
+) -> bool:
+    """Best-first search over closure-preserving moves (cyclic shifts,
+    single-letter conjugations, each followed by handle reduction and
+    greedy simplification), fewest strands and letters first.  True iff
+    some state reaches the empty word; False is only "not found within
+    the budget".  ``letters`` need not be freely reduced.
+
+    States are ``(strands, letters)`` pairs, freely and cyclically reduced
+    by :func:`_markov_core`, so every rotation and every
+    :func:`_conjugate_reduced` neighbour is freely reduced, and the cores
+    take it as it is.  A neighbour met a second time is skipped: its
+    reduction, split search and push would all repeat the first time's,
+    and pushing a state twice only adds a stale heap entry."""
+    start = _markov_core(strands, tuple(_free_reduce_list(letters)))
+    if not start[1]:
+        return True
+    longest = len(start[1]) + SEARCH_SLACK
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    tried: set[tuple[int, tuple[int, ...]]] = set()
+    tick = itertools.count()
+    heap = [(start[0], len(start[1]), next(tick), start)]
+    nodes = 0
+    while heap and nodes < max_nodes:
+        key = heapq.heappop(heap)[-1]
+        if key in seen:
+            continue
+        seen.add(key)
+        nodes += 1
+        p, letters = key
+        neighbours = [letters[k:] + letters[:k] for k in range(1, len(letters))]
+        for g in range(1, p):
+            neighbours.append(_conjugate_reduced(letters, g))
+            neighbours.append(_conjugate_reduced(letters, -g))
+        for raw in neighbours:
+            if (p, raw) in tried:
+                continue
+            tried.add((p, raw))
+            try:
+                reduced = _handle_core(raw, SEARCH_STEP_BUDGET)
+            except BudgetExceeded:
+                reduced = raw
+            cand = _markov_core(p, reduced)
+            if not cand[1]:
+                return True
+            parts = _split_core(*cand)
+            if len(parts) > 1:
+                if all(_search_dissolves(q, part, max_nodes // 2) for q, part in parts):
+                    return True
+                continue
+            if cand not in seen and len(cand[1]) <= longest:
+                heapq.heappush(heap, (cand[0], len(cand[1]), next(tick), cand))
+    return False

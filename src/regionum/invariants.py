@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import heapq
 import itertools
 import os
 import sys
@@ -87,16 +86,7 @@ from math import comb
 from operator import lshift, rshift
 from typing import Callable, NamedTuple
 
-from .braid import (
-    BraidWord,
-    BudgetExceeded,
-    _conjugate_reduced,
-    _free_reduce_list,
-    _handle_core,
-    _markov_core,
-    _split_core,
-    closure_components,
-)
+from .braid import BraidWord, closure_components, reduce_to_unlink
 from .laurent import LOOP, LaurentPoly
 from .limits import MAX_STRANDS, refuse_over
 
@@ -791,103 +781,6 @@ class UnlinkCertificate:
     reduced: tuple[BraidWord, ...]  # final state of the reduction engine
 
 
-REDUCE_MAX_ROUNDS = 200  # handle-reduce/Markov rounds before the search
-SEARCH_MAX_NODES = 3000
-SEARCH_SLACK = 4  # letters a candidate may grow beyond the start word
-SEARCH_STEP_BUDGET = 500  # handle-reduction steps per search candidate
-
-
-def _reduce_to_unlink(w: BraidWord) -> tuple[bool, tuple[BraidWord, ...]]:
-    """Try to reduce the closure to a disjoint union of trivial circles by
-    alternating handle reduction with Markov simplification, falling back
-    to a bounded best-first search over Markov moves per stuck piece.
-    Pieces are ``(strands, letters)`` pairs, each freely reduced."""
-    pieces = [(w.strands, tuple(_free_reduce_list(w.letters)))]
-    for _ in range(REDUCE_MAX_ROUNDS):
-        progressed = False
-        next_pieces: list[tuple[int, tuple[int, ...]]] = []
-        for piece in pieces:
-            parts = _split_core(*piece)
-            for strands, part in parts:
-                if not part:
-                    continue
-                free = part if len(parts) == 1 else tuple(_free_reduce_list(part))
-                try:
-                    reduced = _handle_core(free)
-                except BudgetExceeded:
-                    reduced = free
-                simplified = _markov_core(strands, reduced)
-                if len(simplified[1]) < len(part) or simplified[0] < strands:
-                    progressed = True
-                next_pieces.append(simplified)
-        pieces = [p for p in next_pieces if p[1]]
-        if not pieces:
-            return True, ()
-        if not progressed:
-            break
-    residue = [r for r in (BraidWord(*p) for p in pieces) if not _search_dissolves(r)]
-    if not residue:
-        return True, ()
-    return False, tuple(residue)
-
-
-def _search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
-    """Best-first search over closure-preserving moves (cyclic shifts,
-    single-letter conjugations, each followed by handle reduction and
-    greedy simplification), fewest strands and letters first.  True iff
-    some state reaches the empty word; False is only "not found within
-    the budget".
-
-    States are ``(strands, letters)`` pairs, freely and cyclically reduced
-    by :func:`_markov_core`, so every rotation and every
-    :func:`_conjugate_reduced` neighbour is freely reduced, and the cores
-    take it as it is.  A neighbour met a second time is skipped: its
-    reduction, split search and push would all repeat the first time's,
-    and pushing a state twice only adds a stale heap entry."""
-    start = _markov_core(w.strands, tuple(_free_reduce_list(w.letters)))
-    if not start[1]:
-        return True
-    longest = len(start[1]) + SEARCH_SLACK
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    tried: set[tuple[int, tuple[int, ...]]] = set()
-    tick = itertools.count()
-    heap = [(start[0], len(start[1]), next(tick), start)]
-    nodes = 0
-    while heap and nodes < max_nodes:
-        key = heapq.heappop(heap)[-1]
-        if key in seen:
-            continue
-        seen.add(key)
-        nodes += 1
-        p, letters = key
-        neighbours = [letters[k:] + letters[:k] for k in range(1, len(letters))]
-        for g in range(1, p):
-            neighbours.append(_conjugate_reduced(letters, g))
-            neighbours.append(_conjugate_reduced(letters, -g))
-        for raw in neighbours:
-            if (p, raw) in tried:
-                continue
-            tried.add((p, raw))
-            try:
-                reduced = _handle_core(raw, SEARCH_STEP_BUDGET)
-            except BudgetExceeded:
-                reduced = raw
-            cand = _markov_core(p, reduced)
-            if not cand[1]:
-                return True
-            parts = _split_core(*cand)
-            if len(parts) > 1:
-                if all(
-                    not part or _search_dissolves(BraidWord(q, part), max_nodes // 2)
-                    for q, part in parts
-                ):
-                    return True
-                continue
-            if cand not in seen and len(cand[1]) <= longest:
-                heapq.heappush(heap, (cand[0], len(cand[1]), next(tick), cand))
-    return False
-
-
 def certify_unlink(w: BraidWord) -> UnlinkCertificate:
     """Three-way unlink check for the closure of ``w``.
 
@@ -911,7 +804,6 @@ def certify_unlink(w: BraidWord) -> UnlinkCertificate:
         if alexander_refutes(w):
             return UnlinkCertificate(Verdict.REFUTED, d, None, (w,))
         jones_ok = None
-    done, residue = _reduce_to_unlink(w)
-    if done:
-        return UnlinkCertificate(Verdict.CERTIFIED, d, jones_ok, ())
-    return UnlinkCertificate(Verdict.INCONCLUSIVE, d, jones_ok, residue)
+    residue = reduce_to_unlink(w)
+    verdict = Verdict.INCONCLUSIVE if residue else Verdict.CERTIFIED
+    return UnlinkCertificate(verdict, d, jones_ok, residue)

@@ -74,20 +74,12 @@ from typing import Sequence
 
 from regionum import braid
 from regionum.bounds import TheoremCase
-from regionum.braid import (
-    HANDLE_BUDGET,
-    BraidWord,
-    BudgetExceeded,
-    _free_reduce_list,
-)
+from regionum.braid import BraidWord, BudgetExceeded, _free_reduce_list
 from regionum.diagram import DisconnectedDiagramError, PlanarDiagram
 from regionum.gf2 import solution_coset
 from regionum.invariants import (
     BURAU_PRIME,
     BURAU_T,
-    SEARCH_MAX_NODES,
-    SEARCH_SLACK,
-    SEARCH_STEP_BUDGET,
     UnlinkCertificate,
     Verdict,
     _slot_width,
@@ -95,6 +87,7 @@ from regionum.invariants import (
     certify_unlink,
 )
 from regionum.laurent import LOOP, LaurentPoly
+from regionum.limits import HANDLE_BUDGET, SEARCH_MAX_NODES, SEARCH_SLACK, SEARCH_STEP_BUDGET
 from regionum.search import SearchReport
 
 MARKOV_MAX_ROUNDS = 10_000  # rounds of markov_simplify before it stops

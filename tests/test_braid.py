@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import _oracles
 from _oracles import conjugate, cyclic_shift, free_reduce
 from _words import braid_words, letters, trivial_conjugates
-from regionum import invariants
+from regionum import braid
 from regionum.bounds import bound, target_word, verify_bound
 from regionum.braid import (
     HANDLE_BUDGET,
@@ -302,13 +302,13 @@ def test_handle_core_matches_oracle_at_its_step_count_on_long_targets(monkeypatc
 
 def test_handle_core_matches_oracle_on_grid_and_probe_inputs(monkeypatch):
     calls = []
-    core = invariants._handle_core
+    core = braid._handle_core
 
     def recorded(word, budget=HANDLE_BUDGET):
         calls.append((tuple(word), budget))
         return core(word, budget)
 
-    monkeypatch.setattr(invariants, "_handle_core", recorded)
+    monkeypatch.setattr(braid, "_handle_core", recorded)
     for p in range(2, 7):
         for q in range(p + 1, 6 * p + 6):
             if is_proper(p, q):

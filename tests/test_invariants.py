@@ -26,7 +26,7 @@ from _oracles import (
     slot_repack,
 )
 from _words import braid_words, random_connected_word, signed_runs, unlink_closures
-from regionum import invariants, worker
+from regionum import braid, invariants, worker
 from regionum.bounds import bound, chosen_case, target_word, verify_bound
 from regionum.braid import BraidWord, closure_components, handle_reduce, parse_word, toric_braid
 from regionum.invariants import (
@@ -41,7 +41,7 @@ from regionum.invariants import (
     unlink_jones,
 )
 from regionum.laurent import LOOP, LaurentPoly
-from regionum.limits import MAX_STRANDS
+from regionum.limits import MAX_STRANDS, SEARCH_MAX_NODES
 from regionum.properness import TorusLinkSpec, is_proper
 from regionum.search import sharpness_probe
 from regionum.templates import staircase_word, three_block_word
@@ -586,7 +586,7 @@ def test_a_worker_killed_mid_call_raises_and_is_replaced():
     code = """
         import os
         import signal
-        from regionum import invariants, worker
+        from regionum import braid, invariants, worker
         from regionum.braid import toric_braid
 
         w = toric_braid(9, 10)
@@ -624,7 +624,7 @@ def test_only_a_large_sweep_forks_the_worker():
     # K(7,8) costs less than _START_COST and sweeps here until K(9,10),
     # which costs more, has forked the worker
     code = """
-        from regionum import invariants, worker
+        from regionum import braid, invariants, worker
         from regionum.braid import toric_braid
 
         calls = []
@@ -656,7 +656,7 @@ def test_the_worker_holds_no_pipe_of_its_parent():
     # child must see the end of its pipe once the parent closes its end.
     code = """
         import os
-        from regionum import invariants, worker
+        from regionum import braid, invariants, worker
         from regionum.braid import toric_braid
 
         r, w = os.pipe()
@@ -750,7 +750,7 @@ def test_search_dissolves_golden_digest():
         w = BraidWord(
             p, tuple(rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(n))
         )
-        found = invariants._search_dissolves(w, max_nodes=50)
+        found = braid._search_dissolves(w.strands, w.letters, max_nodes=50)
         h.update(json.dumps([found, w.strands, w.letters]).encode())
     assert h.hexdigest() == SEARCH_DIGEST
 
@@ -765,6 +765,10 @@ def _random_search_words(seed, count):
             BraidWord(p, tuple(rng.choice((1, -1)) * rng.randint(1, p - 1) for _ in range(n)))
         )
     return words
+
+
+def _package_search(w, cap):
+    return braid._search_dissolves(w.strands, w.letters, cap)
 
 
 def _search_with_states(monkeypatch, module, search, w, cap):
@@ -790,7 +794,7 @@ def test_search_matches_reference_search(monkeypatch, cap):
     # same verdict, from the same states in the same order
     verdicts = []
     for w in _random_search_words(18, 60):
-        new = _search_with_states(monkeypatch, invariants, invariants._search_dissolves, w, cap)
+        new = _search_with_states(monkeypatch, braid, _package_search, w, cap)
         old = _search_with_states(monkeypatch, _oracles, _oracles.search_dissolves, w, cap)
         assert new == old, (w, cap)
         verdicts.append(new[0])
@@ -799,13 +803,13 @@ def test_search_matches_reference_search(monkeypatch, cap):
 
 def test_search_matches_reference_on_grid_and_probe_residues(monkeypatch):
     calls = []
-    search = invariants._search_dissolves
+    search = braid._search_dissolves
 
-    def recorded(w, max_nodes=invariants.SEARCH_MAX_NODES):
-        calls.append((w, max_nodes))
-        return search(w, max_nodes)
+    def recorded(strands, letters, max_nodes=SEARCH_MAX_NODES):
+        calls.append((BraidWord(strands, letters), max_nodes))
+        return search(strands, letters, max_nodes)
 
-    monkeypatch.setattr(invariants, "_search_dissolves", recorded)
+    monkeypatch.setattr(braid, "_search_dissolves", recorded)
     for p in range(2, 7):
         for q in range(p + 1, 6 * p + 6):
             if is_proper(p, q):
@@ -821,8 +825,8 @@ def test_search_matches_reference_on_grid_and_probe_residues(monkeypatch):
     assert grid_calls >= 27 and len(calls) - grid_calls >= 7
     for w, max_nodes in calls:
         for cap in range(1, 41):
-            assert search(w, cap) == _oracles.search_dissolves(w, cap), (w, cap)
-        new = _search_with_states(monkeypatch, invariants, search, w, max_nodes)
+            assert _package_search(w, cap) == _oracles.search_dissolves(w, cap), (w, cap)
+        new = _search_with_states(monkeypatch, braid, _package_search, w, max_nodes)
         old = _search_with_states(monkeypatch, _oracles, _oracles.search_dissolves, w, max_nodes)
         assert new == old, w
 
@@ -832,9 +836,8 @@ def test_search_states_are_freely_and_cyclically_reduced(monkeypatch):
     # reduction cores without reducing them again, which is sound only
     # for freely and cyclically reduced states.
     states = []
-    search = invariants._search_dissolves
     for w in _random_search_words(19, 60) + [three_block_word(4)]:
-        states += _search_with_states(monkeypatch, invariants, search, w, 30)[1]
+        states += _search_with_states(monkeypatch, braid, _package_search, w, 30)[1]
     assert len(states) > 300
     for p, letters in states:
         assert free_reduce(BraidWord(p, letters)).letters == letters
