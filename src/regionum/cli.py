@@ -184,27 +184,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=run)
+        return sp
+
     def pq(sp):
         sp.add_argument("p", type=int)
         sp.add_argument("q", type=int)
+        return sp
 
-    pq(sub.add_parser("proper", help="properness of K(p,q)"))
-    pq(sub.add_parser("bound", help="all applicable bounds"))
-    pq(sub.add_parser("schedule", help="explicit region schedule"))
-    pq(sub.add_parser("verify", help="end-to-end certificate (JSON)"))
-    sp = sub.add_parser("brute", help="exact search on the standard diagram")
-    pq(sp)
+    pq(command("proper", cmd_proper, "properness of K(p,q)"))
+    pq(command("bound", cmd_bound, "all applicable bounds"))
+    pq(command("schedule", cmd_schedule, "explicit region schedule"))
+    pq(command("verify", cmd_verify, "end-to-end certificate (JSON)"))
+    sp = pq(command("brute", cmd_brute, "exact search on the standard diagram"))
     sp.add_argument("--max-k", type=int, default=6)
-    pq(sub.add_parser("probe", help="sharpness probe (brute vs bound)"))
-    sp = sub.add_parser("jones", help="Jones polynomial of a braid closure")
+    pq(command("probe", cmd_probe, "sharpness probe (brute vs bound)"))
+    sp = command("jones", cmd_jones, "Jones polynomial of a braid closure")
     sp.add_argument("word", help="signed generator word, e.g. '1 1 1'")
     sp.add_argument("--strands", type=int, default=None)
-    sp = sub.add_parser("word", help="emit a named word family")
+    sp = command("word", cmd_word, "emit a named word family")
     sp.add_argument("--family", required=True)
     sp.add_argument("--p", type=int, default=0)
     sp.add_argument("--i", type=int, default=0)
     sp.add_argument("--j", type=int, default=0)
-    sp = sub.add_parser("table", help="CSV bound grid")
+    sp = command("table", cmd_table, "CSV bound grid")
     sp.add_argument("p_min", type=int)
     sp.add_argument("p_max", type=int)
     sp.add_argument("q_min", type=int)
@@ -212,23 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "proper": cmd_proper,
-    "bound": cmd_bound,
-    "schedule": cmd_schedule,
-    "verify": cmd_verify,
-    "brute": cmd_brute,
-    "probe": cmd_probe,
-    "jones": cmd_jones,
-    "word": cmd_word,
-    "table": cmd_table,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = COMMANDS[args.command](args)
+        code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:

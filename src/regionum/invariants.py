@@ -221,64 +221,40 @@ def _group(pull: dict[int, list[int]]) -> _Groups:
     return (*map(tuple, flat), rest)
 
 
-def _pull(v: list[int], outer: _Groups, inner: _Groups, shift: int, right: bool) -> None:
+def _pull(
+    v: list[int], outer: _Groups, inner: _Groups, shift: int, op: Callable[[int, int], int]
+) -> None:
     """Apply one scaled letter to its cup rows in place: with s the sum of
-    ``v`` over the preimages of a cup c, set ``v[c]`` to (s - v[c]) << shift
-    for every cup in ``outer`` and to s - (v[c] << shift) for every cup in
-    ``inner``, or with ``right`` the same with >>.  A preimage has no cup,
-    so it is read before any write can reach it.  Most cups have 1 to 3
-    preimages; their loops are spelt out, which saves a call per cup, and
-    so are the two directions, which saves a call per shift."""
+    ``v`` over the preimages of a cup c, set ``v[c]`` to op(s - v[c], shift)
+    for every cup in ``outer`` and to s - op(v[c], shift) for every cup in
+    ``inner``, ``op`` being ``lshift`` or ``rshift``.  A preimage has no
+    cup, so it is read before any write can reach it.  Most cups have 1 to
+    3 preimages; their loops are spelt out, which saves a call per cup."""
     get = v.__getitem__
     ones, twos, threes, rest = outer
-    if right:
-        it = iter(ones)
-        for c, a in zip(it, it):
-            v[c] = (v[a] - v[c]) >> shift
-        it = iter(twos)
-        for c, a, b in zip(it, it, it):
-            v[c] = (v[a] + v[b] - v[c]) >> shift
-        it = iter(threes)
-        for c, a, b, d in zip(it, it, it, it):
-            v[c] = (v[a] + v[b] + v[d] - v[c]) >> shift
-        for c, pre in rest.items():
-            v[c] = (sum(map(get, pre)) - v[c]) >> shift
-        ones, twos, threes, rest = inner
-        it = iter(ones)
-        for c, a in zip(it, it):
-            v[c] = v[a] - (v[c] >> shift)
-        it = iter(twos)
-        for c, a, b in zip(it, it, it):
-            v[c] = v[a] + v[b] - (v[c] >> shift)
-        it = iter(threes)
-        for c, a, b, d in zip(it, it, it, it):
-            v[c] = v[a] + v[b] + v[d] - (v[c] >> shift)
-        for c, pre in rest.items():
-            v[c] = sum(map(get, pre)) - (v[c] >> shift)
-        return
     it = iter(ones)
     for c, a in zip(it, it):
-        v[c] = (v[a] - v[c]) << shift
+        v[c] = op(v[a] - v[c], shift)
     it = iter(twos)
     for c, a, b in zip(it, it, it):
-        v[c] = (v[a] + v[b] - v[c]) << shift
+        v[c] = op(v[a] + v[b] - v[c], shift)
     it = iter(threes)
     for c, a, b, d in zip(it, it, it, it):
-        v[c] = (v[a] + v[b] + v[d] - v[c]) << shift
+        v[c] = op(v[a] + v[b] + v[d] - v[c], shift)
     for c, pre in rest.items():
-        v[c] = (sum(map(get, pre)) - v[c]) << shift
+        v[c] = op(sum(map(get, pre)) - v[c], shift)
     ones, twos, threes, rest = inner
     it = iter(ones)
     for c, a in zip(it, it):
-        v[c] = v[a] - (v[c] << shift)
+        v[c] = v[a] - op(v[c], shift)
     it = iter(twos)
     for c, a, b in zip(it, it, it):
-        v[c] = v[a] + v[b] - (v[c] << shift)
+        v[c] = v[a] + v[b] - op(v[c], shift)
     it = iter(threes)
     for c, a, b, d in zip(it, it, it, it):
-        v[c] = v[a] + v[b] + v[d] - (v[c] << shift)
+        v[c] = v[a] + v[b] + v[d] - op(v[c], shift)
     for c, pre in rest.items():
-        v[c] = sum(map(get, pre)) - (v[c] << shift)
+        v[c] = sum(map(get, pre)) - op(v[c], shift)
 
 
 def _fits(norm: int, width: int) -> bool:
@@ -486,7 +462,7 @@ def _sweep(p: int, letters: tuple[int, ...], lo: int, hi: int) -> tuple[int, lis
         even, odd = cells.groups[abs(x) - 1]
         if x > 0:  # A^-1 * identity + A * cup-cap, scaled by A
             exp -= 1
-            _pull(v, even, odd, level, False)  # A^2 pre - A^4 c
+            _pull(v, even, odd, level, lshift)  # A^2 pre - A^4 c
         else:  # A * identity + A^-1 * cup-cap, scaled by A^-1
             if not guard:
                 _map_in_place(v, lshift, _GUARD_LEVELS * level)
@@ -494,7 +470,7 @@ def _sweep(p: int, letters: tuple[int, ...], lo: int, hi: int) -> tuple[int, lis
                 guard = _GUARD_LEVELS
             guard -= 1
             exp += 1
-            _pull(v, odd, even, level, True)  # A^-2 pre - A^-4 c
+            _pull(v, odd, even, level, rshift)  # A^-2 pre - A^-4 c
     level = columns * width
     levels = max(map(int.bit_length, v)) // level + 1
     bias = _ones(width, levels * columns) << (width - 1)

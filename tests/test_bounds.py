@@ -124,11 +124,60 @@ def test_case_that_does_not_apply_is_refused():
         explicit_schedule(TorusLinkSpec(3, 5), TheoremCase.NP1_P_ODD)
 
 
-def test_verify_bound_checks_the_schedule_against_the_flip_pattern(monkeypatch):
-    flip_vector = bounds._flip_vector
-    monkeypatch.setattr(bounds, "_flip_vector", lambda toric, target: flip_vector(toric, target) ^ 1)
-    with pytest.raises(AssertionError, match="do not realize the flip pattern"):
-        verify_bound(TorusLinkSpec(3, 4))
+def _swap_region(monkeypatch, k, delta):
+    """Make every schedule take region id + ``delta`` for its k-th region."""
+    schedule_ids = bounds._schedule_ids
+
+    def swapped(case, p, n, a):
+        ids = schedule_ids(case, p, n, a)
+        ids[k] += delta
+        return ids
+
+    monkeypatch.setattr(bounds, "_schedule_ids", swapped)
+
+
+def test_a_tail_one_region_short_fails_the_size_check(monkeypatch):
+    case = TheoremCase.NP2_P_ODD
+    record = bounds._CASES[case]
+    short = record._replace(tail=lambda p, a: record.tail(p, a)[:-1])
+    monkeypatch.setitem(bounds._CASES, case, short)
+    with pytest.raises(AssertionError, match="schedule size 3 != bound 4"):
+        verify_bound(TorusLinkSpec(5, 7))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_a_neighbour_swap_on_k34_is_caught_only_by_the_printed_target(monkeypatch, delta):
+    # K(3,4)'s one region swapped for a neighbour still unknots it
+    spec, case = TorusLinkSpec(3, 4), TheoremCase.NP1_P_ODD
+    _swap_region(monkeypatch, 0, delta)
+    with pytest.raises(AssertionError, match="does not produce the expected target word"):
+        verify_bound(spec)
+    monkeypatch.setitem(bounds._CASES, case, bounds._CASES[case]._replace(target=None))
+    result = verify_bound(spec)
+    assert result.case is case
+    assert result.certificate.schedule.region_ids == (4 + delta,)
+    assert result.certificate.unlink.verdict is Verdict.CERTIFIED
+
+
+def test_neighbour_swaps_on_k57_are_refuted_unless_they_unknot_it(monkeypatch):
+    # NP2_P_ODD prints no target, so the certifier must catch a wrong schedule
+    spec = TorusLinkSpec(5, 7)
+    assert verify_bound(spec).certificate.schedule.region_ids == (8, 14, 16, 24)
+    refuted, certified = [], []
+    for k in range(4):
+        for delta in (-1, 1):
+            with monkeypatch.context() as m:
+                _swap_region(m, k, delta)
+                try:
+                    result = verify_bound(spec)
+                except AssertionError as exc:
+                    assert "provably nontrivial" in str(exc)
+                    refuted.append((k, delta))
+                else:
+                    assert result.certificate.unlink.verdict is Verdict.CERTIFIED
+                    certified.append((k, delta))
+    assert len(refuted) == 6
+    assert certified == [(3, -1), (3, 1)]
 
 
 def test_verify_bound_produces_certificate():

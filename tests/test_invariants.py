@@ -305,13 +305,13 @@ def _watched_sweep(monkeypatch, p, letters, lo, hi):
     carried = []  # the bound, once the first letter has read the identity
     repacks = []
 
-    def watched_pull(v, outer, inner, shift, right):
+    def watched_pull(v, outer, inner, shift, op):
         width = shift // columns
         if not carried:
             start = _column_norms(v, width, columns)
             assert max(start) == sum(dim > lo for _, dim in invariants._cells(p).modules)
             carried.append(max(start))
-        pull(v, outer, inner, shift, right)
+        pull(v, outer, inner, shift, op)
         carried[0] <<= 1
         assert invariants._fits(carried[0], width)
         assert max(_column_norms(v, width, columns)) <= carried[0]

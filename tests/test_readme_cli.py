@@ -1,5 +1,6 @@
 """Every command of README's CLI block, run through ``cli.main``, prints
-the recorded stdout and exits with the recorded code, and README's tables
+the recorded stdout and exits with the recorded code, README's library
+quick tour evaluates to the values its comments give, and README's tables
 list every constant of ``regionum.limits`` with its value.
 
 The recordings live in ``readme_cli.json``, keyed by each command line
@@ -7,6 +8,7 @@ as ``shlex.join`` spells it.  After an intended output change, rewrite
 them with ``PYTHONPATH=src python tests/test_readme_cli.py``.
 """
 
+import ast
 import io
 import json
 import re
@@ -52,6 +54,34 @@ def test_readme_block_is_recorded():
 def test_readme_command_output_is_unchanged(command):
     recorded = json.loads(RECORDED.read_text(encoding="utf-8"))[command]
     assert run(command) == recorded
+
+
+def test_readme_quick_tour_evaluates_to_its_commented_values():
+    # each expression of the tour is followed by its value in a comment,
+    # on the same line or the next, before any " (" or " ==" remark
+    text = README.read_text(encoding="utf-8")
+    source = text.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    source = source.split("```", 1)[0]
+    lines = source.splitlines()
+    namespace = {}
+    pinned = []
+    for node in ast.parse(source).body:
+        code = ast.get_source_segment(source, node)
+        if not isinstance(node, ast.Expr):
+            exec(code, namespace)
+            continue
+        comment = lines[node.end_lineno - 1][node.end_col_offset :].strip()
+        comment = comment or lines[node.end_lineno].strip()
+        value = re.fullmatch(r"#\s*(\S.*?)(?: \(.*| ==.*)?", comment)[1]
+        assert str(eval(code, namespace)) == value, code
+        pinned.append(value)
+    assert pinned == [
+        "True",
+        "[('q = np+1, p even, n odd', 3)]",
+        "(6, 10, 12)",
+        "Verdict.CERTIFIED",
+        "2",
+    ]
 
 
 def test_every_limit_is_in_the_readme_tables_with_its_value():
