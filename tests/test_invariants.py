@@ -79,8 +79,21 @@ def test_unlink_jones_values():
     assert unlink_jones(2) == LOOP
     assert jones(BraidWord(2, (1, -1))) == unlink_jones(2)
     assert jones(BraidWord(3, (1, -1))) == unlink_jones(3)
-    with pytest.raises(ValueError):
-        unlink_jones(0)
+    for d in range(1, 9):
+        assert unlink_jones(d) == LOOP ** (d - 1)
+        assert unlink_jones(d) is unlink_jones(d)  # computed once per count
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            unlink_jones(d)
+
+
+def test_jones_is_the_bracket_times_the_writhe_monomial():
+    # jones shifts the bracket's exponents and signs in place of the product
+    rng = random.Random(67)
+    for _ in range(200):
+        w = _random_word(rng, 8, 30)
+        wr = w.writhe
+        assert jones(w) == LaurentPoly.monomial(3 * wr, (-1) ** (wr % 2)) * kauffman_bracket(w), w
 
 
 def test_bracket_matches_naive_state_sum():
@@ -127,6 +140,40 @@ def test_bracket_matches_dict_sweep_on_random_words():
     for _ in range(100):
         w = _random_word(rng, 8, 40)
         assert kauffman_bracket(w) == dict_bracket(w), w
+
+
+def test_bracket_matches_dict_sweep_on_wide_random_words(monkeypatch):
+    # 6 to 9 strands, 40 to 120 letters of both signs, fewer the more
+    # strands to keep the oracle quick: the sweeps repack and refill their
+    # guard, and pull through the records of cups with 3 preimages (from 6
+    # strands on) and with 4 or more (from 8 on), which no grid word reaches
+    calls = {"repack": 0, "refill": 0}
+    repack, map_in_place = invariants._repack, invariants._map_in_place
+
+    def counted_repack(v, width, columns):
+        calls["repack"] += 1
+        return repack(v, width, columns)
+
+    def counted_map(v, op, bits):
+        calls["refill"] += op is invariants.lshift  # a repack's own shifts go right
+        map_in_place(v, op, bits)
+
+    monkeypatch.setattr(invariants, "_repack", counted_repack)
+    monkeypatch.setattr(invariants, "_map_in_place", counted_map)
+    rng = random.Random(61)
+    for p in range(6, 10):
+        groups = invariants._cells(p).groups
+        for _ in range(2):
+            calls.update(repack=0, refill=0)
+            n = rng.randint(40, 120 - 20 * (p - 6))
+            w = BraidWord(p, tuple(rng.choice([1, -1]) * rng.randint(1, p - 1) for _ in range(n)))
+            expected = dict_bracket(w)
+            assert _ranges(w) == expected, w
+            assert calls["repack"] and calls["refill"], (w, calls)
+            assert kauffman_bracket(w) == expected, w
+            halves = [half for x in set(map(abs, w.letters)) for half in groups[x - 1]]
+            parts = {k for half in halves for k, part in enumerate(half) if part}
+            assert parts >= {0, 1, 2} | ({3} if p >= 8 else set()), (w, parts)
 
 
 def test_handle_reduction_keeps_the_jones_polynomial():
@@ -419,9 +466,7 @@ def _pull_table(groups):
     table = {}
     for ones, twos, threes, rest in groups:
         table.update(rest)
-        for flat, size in ((ones, 2), (twos, 3), (threes, 4)):
-            for k in range(0, len(flat), size):
-                table[flat[k]] = flat[k + 1 : k + size]
+        table.update((c, pre) for c, *pre in ones + twos + threes)
     return table
 
 
