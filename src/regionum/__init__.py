@@ -25,6 +25,10 @@ from .braid import (
     toric_braid,
 )
 from .diagram import PlanarDiagram, close_braid, toric_diagram
+
+# No package code calls gf2; it is imported so that the benchmark tracer
+# (perfbench/tracing.py) finds gf2.solution_coset after `import regionum`.
+from . import gf2
 from .invariants import UnlinkCertificate, Verdict, certify_unlink, jones
 from .laurent import LaurentPoly
 from .properness import (

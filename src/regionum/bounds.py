@@ -32,8 +32,7 @@ import json
 from typing import Callable, NamedTuple
 
 from .braid import BraidWord, toric_braid
-from .diagram import PlanarDiagram, close_braid
-from .gf2 import row_reduce
+from .diagram import close_braid
 from .invariants import UnlinkCertificate, Verdict, certify_unlink
 from .limits import refuse_over
 from .properness import TorusLinkSpec, is_proper
@@ -494,9 +493,3 @@ def verify_bound(spec: TorusLinkSpec) -> BoundResult:
         )
     cert = Certificate(schedule=schedule, target=target, unlink=unlink)
     return dataclasses.replace(chosen, certificate=cert)
-
-
-def incidence_rank_data(diagram: PlanarDiagram) -> tuple[int, int]:
-    """(rank, nullity) of the region incidence system over GF(2)."""
-    rank = row_reduce(diagram.rows).rank
-    return rank, len(diagram.rows) - rank

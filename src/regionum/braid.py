@@ -240,17 +240,12 @@ def _destabilize(
     return None
 
 
-def split_unused(w: BraidWord) -> list[BraidWord]:
-    """Split at unused generators: if sigma_j never occurs, the closure is a
-    split union of the closures of the two halves (see :func:`_split_core`)."""
-    return [BraidWord(p, letters) for p, letters in _split_core(w.strands, w.letters)]
-
-
 def _split_core(strands: int, letters: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """The pieces ``(strands, letters)`` of :func:`split_unused`.  A word
-    that uses every generator is its own only piece.  Pieces of a split
-    word need not be freely reduced: dropping the other pieces' letters can
-    make two inverse letters adjacent."""
+    """Split at unused generators, as pieces ``(strands, letters)``: if
+    sigma_j never occurs, the closure is a split union of the closures of
+    the two halves.  A word that uses every generator is its own only
+    piece.  Pieces of a split word need not be freely reduced: dropping
+    the other pieces' letters can make two inverse letters adjacent."""
     used = {abs(x) for x in letters}
     if len(used) == strands - 1:
         return [(strands, letters)]

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success/verified, 1 domain refusal (bad input, not proper,
 case not covered; one line on stderr) or a stdout closed early (nothing
-on stderr), 2 internal inconsistency.  All numeric output is exact.
+on stderr), 2 internal inconsistency or an operating-system error, such
+as a bracket worker that could not be forked or ended mid-call (one line
+on stderr).  All numeric output is exact.
 """
 
 from __future__ import annotations
@@ -234,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # bad input, NotProperError, CaseNotCovered
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:  # ChildProcessError from the bracket worker, a failed fork
+        print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -129,7 +129,5 @@ class LaurentPoly:
         return " ".join(parts)
 
 
-A = LaurentPoly.monomial(1)
-A_INV = LaurentPoly.monomial(-1)
 # Value of a closed loop in the Kauffman bracket calculus.
 LOOP = LaurentPoly({2: -1, -2: -1})

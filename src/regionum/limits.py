@@ -13,8 +13,8 @@ a closure undissolved: INCONCLUSIVE, never REFUTED.
 # at this limit, 1.4 s and 912 MB at 90 000 crossings.
 MAX_CROSSINGS = 10_000
 # Strands of a Kauffman bracket, so of a Jones polynomial: 924 half-diagrams
-# in 7 cell modules, the largest of 297.  The K(12,13) target takes 1.9 s
-# serially, K(13,14)'s 9.5 s and 211 MB.
+# in 7 cell modules, the largest of 297.  A serial sweep of all columns of
+# the K(12,13) target takes 1.05-1.16 s, K(13,14)'s 5.0-5.3 s and 156 MB.
 MAX_STRANDS = 12
 # Regions whose subsets a u_R search enumerates: lifted, K(5,9) (34 regions,
 # 633 k subsets up to k = 6) takes 2.8 s and K(4,13) (41, k <= 7) 20.1 s.

@@ -20,13 +20,18 @@ move.  The package no longer uses ``free_reduce`` itself.  The
 package's engine must give the same words and raise ``BudgetExceeded``
 on the same inputs.
 
+``split_unused`` splits a word at the generators it never uses, as
+``BraidWord`` pieces.  It shares no code with the package's letter-tuple
+split, ``braid._split_core``, and must give the same pieces.
+
 ``search_dissolves`` is the certifier's move search as it was before it
 ran on ``(strands, letters)`` pairs: it wraps every neighbour in a
-``BraidWord`` and calls the public ``handle_reduce``, ``markov_simplify``
-and ``split_unused``, each of which free-reduces the word again.  Those
-three are checked against the old engine above, so this search is the
-reference for the package's: the same verdict, from the same states in
-the same order, on every word and node cap.
+``BraidWord`` and calls the public ``handle_reduce`` and
+``markov_simplify``, each of which free-reduces the word again, and
+``split_unused``.  Those three are checked against the old engine and
+the package's split, so this search is the reference for the package's:
+the same verdict, from the same states in the same order, on every word
+and node cap.
 
 ``burau_alexander`` is the Burau-Alexander value as it was before its
 columns were packed into one int each: columns as lists of residues, a
@@ -378,6 +383,19 @@ def _conjugation_improvement(w: BraidWord, max_len: int) -> BraidWord | None:
     return None
 
 
+def split_unused(w: BraidWord) -> list[BraidWord]:
+    """Split at unused generators: if sigma_j never occurs, the closure is a
+    split union of the closures of the strands up to j and of the rest.
+    Each piece keeps its own letters, shifted down to start at sigma_1; an
+    unused strand between two gaps is an empty piece."""
+    used = {abs(x) for x in w.letters}
+    cuts = [0] + [j for j in range(1, w.strands) if j not in used] + [w.strands]
+    return [
+        BraidWord(hi - lo, tuple(x - lo if x > 0 else x + lo for x in w.letters if lo < abs(x) < hi))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+
 def search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
     """Best-first search over closure-preserving moves (cyclic shifts,
     single-letter conjugations, each followed by handle reduction and
@@ -420,7 +438,7 @@ def search_dissolves(w: BraidWord, max_nodes: int = SEARCH_MAX_NODES) -> bool:
             cand = braid.markov_simplify(cand)
             if not cand.letters:
                 return True
-            parts = braid.split_unused(cand)
+            parts = split_unused(cand)
             if len(parts) > 1:
                 if all(
                     not part.letters or search_dissolves(part, max_nodes // 2)

@@ -7,6 +7,13 @@ import random
 import time
 
 from _oracles import conjugate, cyclic_shift, naive_bracket
+from _words import (
+    eta_ladder_words,
+    even_ladder_words,
+    run_pair_words,
+    three_block_words,
+    width4_cancel_words,
+)
 from regionum.bounds import bound, verify_bound
 from regionum.braid import BraidWord, handle_reduce, toric_braid
 from regionum.diagram import close_braid
@@ -21,14 +28,9 @@ from regionum.properness import (
 from regionum.search import brute_force_uR, sharpness_probe
 from regionum.templates import (
     eight_block_word,
-    eta_ladder_words,
-    even_ladder_words,
     generator_run_word,
     mirror_staircase_word,
-    run_pair_words,
     staircase_word,
-    three_block_words,
-    width4_cancel_words,
 )
 
 

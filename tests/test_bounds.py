@@ -21,12 +21,12 @@ from regionum.bounds import (
     construct,
     explicit_schedule,
     flip_vector_for,
-    incidence_rank_data,
     target_word,
     verify_bound,
 )
 from regionum.braid import handle_reduce
 from regionum.diagram import toric_diagram
+from regionum.gf2 import solution_coset
 from regionum.invariants import Verdict, certify_unlink
 from regionum.limits import MAX_STRANDS
 from regionum.properness import TorusLinkSpec, is_proper
@@ -250,9 +250,9 @@ def test_incidence_rank_law():
     for p, q in [(2, 3), (3, 4), (2, 4), (3, 3), (4, 6), (4, 4)]:
         diagram = toric_diagram(p, q)
         d = gcd(p, q)
-        rank, nullity = incidence_rank_data(diagram)
-        assert rank == diagram.crossings - d + 1
-        assert nullity == d + 1
+        nullity = d + 1  # the coset of 0 is the kernel, 2^nullity subsets
+        assert len(list(solution_coset(diagram.rows, 0))) == 2**nullity
+        assert len(diagram.rows) - nullity == diagram.crossings - d + 1
 
 
 # sha256 over every spec p = 2..15, p < q < 8p (819 specs, 70 not proper) of

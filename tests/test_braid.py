@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import conjugate, cyclic_shift, free_reduce
+from _oracles import conjugate, cyclic_shift, free_reduce, split_unused
 from _words import braid_words, letters, trivial_conjugates
 from regionum import braid
 from regionum.bounds import bound, target_word, verify_bound
@@ -27,7 +27,6 @@ from regionum.braid import (
     is_trivial_braid,
     markov_simplify,
     parse_word,
-    split_unused,
     toric_braid,
 )
 from regionum.properness import TorusLinkSpec, is_proper

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -283,12 +284,15 @@ def test_a_stdout_closed_before_the_output_ends_the_command_quietly(argv):
     assert (done.returncode, done.stderr) == (1, "")
 
 
-@pytest.mark.skipif(
+splits = pytest.mark.skipif(
     not hasattr(os, "fork")
     or not hasattr(os, "sched_getaffinity")
     or len(os.sched_getaffinity(0)) < 2,
     reason="the bracket splits only with os.fork and 2 CPUs",
 )
+
+
+@splits
 def test_verify_splits_the_bracket_without_duplicating_output_or_leaving_its_worker():
     # stdout is a pipe, so the first line is still buffered when the worker
     # is forked; the worker must leave without flushing it again, and the
@@ -310,6 +314,59 @@ def test_verify_splits_the_bracket_without_duplicating_output_or_leaving_its_wor
     assert payload["verdict"] == "certified" and payload["jones_unlink_check"] is True
     worker = int(done.stderr.split()[-1])
     assert not os.path.exists(f"/proc/{worker}")
+
+
+# verify 10 11 splits its bracket sweep with the worker.  Each failure of
+# the worker must end the command with exit 2 and one line on stderr.
+WORKER_FAILURES = {
+    # The worker is forked by a first sweep and stopped, so that it cannot
+    # reply before the kill lands; this process's half of the next sweep
+    # kills it, once.
+    "killed mid-call": """
+        import os, signal
+        from regionum import invariants, worker
+        from regionum.braid import toric_braid
+
+        invariants.kauffman_bracket(toric_braid(9, 10))
+        first = worker._worker.pid
+        sweep = invariants._sweep
+
+        def killing(*args):
+            invariants._sweep = sweep
+            os.kill(first, signal.SIGKILL)
+            return sweep(*args)
+
+        invariants._sweep = killing
+        os.kill(first, signal.SIGSTOP)
+    """,
+    "fork fails": """
+        import errno, os
+
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        os.fork = fork
+    """,
+}
+
+
+@splits
+@pytest.mark.parametrize("failure", list(WORKER_FAILURES))
+def test_a_failed_bracket_worker_ends_verify_with_one_line_and_exit_2(failure):
+    done = run_python(WORKER_FAILURES[failure] + """
+        import sys
+        from regionum.cli import main
+
+        sys.exit(main(["verify", "10", "11"]))
+    """)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    expected = {
+        "killed mid-call": "verify: ChildProcessError: bracket worker ",
+        "fork fails": f"verify: BlockingIOError: [Errno {errno.EAGAIN}] ",
+    }[failure]
+    assert done.stderr.startswith(expected), done.stderr
 
 
 def test_proper_skips_the_diagram_oracle_on_a_huge_diagram():

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 from _oracles import min_weight_solution, select_bits
-from regionum.gf2 import row_reduce, solution_coset
+from regionum.gf2 import solution_coset
 
 
 def brute_span(rows):
@@ -20,33 +20,32 @@ def test_select_bits():
     assert select_bits(0b10100) == [2, 4]
 
 
-def test_row_reduce_rank_matches_span():
-    rng = random.Random(2)
-    for _ in range(20):
-        n = rng.randint(1, 8)
-        rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 8))]
-        assert 2 ** row_reduce(rows).rank == len(brute_span(rows))
+def _random_systems(seed, count=20, max_bits=7, max_rows=6):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_bits)
+        yield n, [rng.getrandbits(n) for _ in range(rng.randint(1, max_rows))]
 
 
-def test_contains_agrees_with_brute_span():
-    rng = random.Random(4)
-    for _ in range(20):
-        n = rng.randint(1, 7)
-        rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
-        sys_ = row_reduce(rows)
+def test_the_coset_of_zero_has_two_to_the_nullity_members():
+    # rank-nullity: 2^rank span vectors times 2^nullity kernel members
+    for _, rows in _random_systems(2, max_bits=8, max_rows=8):
+        assert len(list(solution_coset(rows, 0))) * len(brute_span(rows)) == 2 ** len(rows)
+
+
+def test_a_target_is_in_the_span_iff_its_coset_is_non_empty():
+    for n, rows in _random_systems(4):
         span = brute_span(rows)
         for v in range(1 << n):
-            assert (sys_.solve(v) is not None) == (v in span)
+            assert (next(solution_coset(rows, v), None) is not None) == (v in span)
 
 
-def test_nullspace_dimension():
-    rng = random.Random(6)
-    for _ in range(20):
-        n = rng.randint(1, 7)
-        rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
-        system = row_reduce(rows)
-        assert len(system.kernel) == len(rows) - system.rank
-        for mask in system.kernel:
+def test_the_coset_of_zero_is_the_kernel():
+    # distinct row selections, each XORing to zero, the empty one first
+    for _, rows in _random_systems(6):
+        kernel = list(solution_coset(rows, 0))
+        assert kernel[0] == 0 and len(set(kernel)) == len(kernel)
+        for mask in kernel:
             v = 0
             for i in select_bits(mask):
                 v ^= rows[i]

@@ -2,22 +2,24 @@ import random
 
 import pytest
 
+from _words import (
+    eta_ladder_words,
+    even_ladder_words,
+    run_pair_words,
+    three_block_words,
+    width4_cancel_words,
+)
 from regionum.braid import closure_components, handle_reduce
 from regionum.invariants import Verdict, certify_unlink, jones, unlink_jones
 from regionum.templates import (
     WORD_FAMILIES,
     eight_block_word,
-    eta_ladder_words,
-    even_ladder_words,
     generator_run_word,
     mirror_staircase_word,
     mu,
     nu,
-    run_pair_words,
     staircase_word,
     three_block_word,
-    three_block_words,
-    width4_cancel_words,
 )
 
 
