@@ -317,12 +317,13 @@ def test_verify_splits_the_bracket_without_duplicating_output_or_leaving_its_wor
 
 
 # verify 10 11 splits its bracket sweep with the worker.  Each failure of
-# the worker must end the command with exit 2 and one line on stderr.
+# the worker, set up by the code given, must end the command with exit 2
+# and the one stderr line that the prefix given starts.
 WORKER_FAILURES = {
     # The worker is forked by a first sweep and stopped, so that it cannot
     # reply before the kill lands; this process's half of the next sweep
     # kills it, once.
-    "killed mid-call": """
+    "killed mid-call": ("""
         import os, signal
         from regionum import invariants, worker
         from regionum.braid import toric_braid
@@ -338,22 +339,23 @@ WORKER_FAILURES = {
 
         invariants._sweep = killing
         os.kill(first, signal.SIGSTOP)
-    """,
-    "fork fails": """
+    """, "verify: ChildProcessError: bracket worker "),
+    "fork fails": ("""
         import errno, os
 
         def fork():
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
         os.fork = fork
-    """,
+    """, f"verify: BlockingIOError: [Errno {errno.EAGAIN}] "),
 }
 
 
 @splits
 @pytest.mark.parametrize("failure", list(WORKER_FAILURES))
 def test_a_failed_bracket_worker_ends_verify_with_one_line_and_exit_2(failure):
-    done = run_python(WORKER_FAILURES[failure] + """
+    setup, prefix = WORKER_FAILURES[failure]
+    done = run_python(setup + """
         import sys
         from regionum.cli import main
 
@@ -362,11 +364,7 @@ def test_a_failed_bracket_worker_ends_verify_with_one_line_and_exit_2(failure):
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert len(done.stderr.splitlines()) == 1, done.stderr
     assert "Traceback" not in done.stderr
-    expected = {
-        "killed mid-call": "verify: ChildProcessError: bracket worker ",
-        "fork fails": f"verify: BlockingIOError: [Errno {errno.EAGAIN}] ",
-    }[failure]
-    assert done.stderr.startswith(expected), done.stderr
+    assert done.stderr.startswith(prefix), done.stderr
 
 
 def test_proper_skips_the_diagram_oracle_on_a_huge_diagram():
